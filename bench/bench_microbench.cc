@@ -461,7 +461,9 @@ BENCHMARK(BM_SimdLevelMatvec)
  * pool; results are bit-identical at any thread count (see
  * test_simd), so items_per_second is a pure scaling curve.
  * perf-smoke reports the N-thread over 1-thread ratio. range(0):
- * backend (1 dense, 2 fixed-point int16); range(1): threads.
+ * backend (0 circulant-fft, whose fused gate step splits segment
+ * FFTs and gate row groups, 1 dense, 2 fixed-point int16);
+ * range(1): threads.
  */
 void
 BM_SessionThreadSweep(benchmark::State &state)
@@ -474,6 +476,10 @@ BM_SessionThreadSweep(benchmark::State &state)
     runtime::CompileOptions opts;
     const char *label = "";
     switch (state.range(0)) {
+      case 0:
+        opts.backend = runtime::BackendKind::CirculantFft;
+        label = "circulant-fft";
+        break;
       case 1:
         opts.backend = runtime::BackendKind::Dense;
         label = "dense";
@@ -504,7 +510,7 @@ BM_SessionThreadSweep(benchmark::State &state)
 // CPU clock would overstate the scaling; wall clock is the honest
 // frames/s basis.
 BENCHMARK(BM_SessionThreadSweep)
-    ->ArgsProduct({{1, 2}, {1, 2, 4}})
+    ->ArgsProduct({{0, 1, 2}, {1, 2, 4}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

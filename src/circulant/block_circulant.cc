@@ -230,8 +230,8 @@ computeSegmentSpectra(const Vector &x, std::size_t block_size,
 }
 
 void
-computeSegmentSpectraBatch(const Matrix &x, std::size_t block_size,
-                           FftWorkspace &ws)
+sizeSegmentSpectraBatch(const Matrix &x, std::size_t block_size,
+                        FftWorkspace &ws)
 {
     ernn_assert(block_size >= 1 && x.rows() % block_size == 0,
                 "computeSegmentSpectraBatch: " << x.rows()
@@ -243,16 +243,40 @@ computeSegmentSpectraBatch(const Matrix &x, std::size_t block_size,
     ws.laneSpecLanes = lanes;
     ws.laneSpecSegs = q;
     ws.laneSpecBins = bins;
-    ws.seg.resize(block_size);
-    for (std::size_t j = 0; j < q; ++j) {
+}
+
+void
+computeSegmentSpectraBatch(const Matrix &x, std::size_t block_size,
+                           FftWorkspace &ws)
+{
+    sizeSegmentSpectraBatch(x, block_size, ws);
+    computeSegmentSpectraBatch(x, block_size, 0, ws.laneSpecSegs, ws,
+                               ws);
+}
+
+void
+computeSegmentSpectraBatch(const Matrix &x, std::size_t block_size,
+                           std::size_t j0, std::size_t j1,
+                           FftWorkspace &ws, FftWorkspace &scratch)
+{
+    const std::size_t lanes = x.cols();
+    const std::size_t bins = block_size / 2 + 1;
+    ernn_assert(ws.laneSpecLanes == lanes &&
+                ws.laneSpecSegs * block_size == x.rows() &&
+                ws.laneSpecBins == bins && j0 <= j1 &&
+                j1 <= ws.laneSpecSegs,
+                "computeSegmentSpectraBatch: segments [" << j0 << ", "
+                << j1 << ") outside the sized lane spectra");
+    scratch.seg.resize(block_size);
+    for (std::size_t j = j0; j < j1; ++j) {
         for (std::size_t l = 0; l < lanes; ++l) {
             // Gather the lane's segment out of its strided column;
             // the transform itself is the one the solo path runs.
             for (std::size_t r = 0; r < block_size; ++r)
-                ws.seg[r] = x.at(j * block_size + r, l);
-            fft::rfftInto(ws.seg,
+                scratch.seg[r] = x.at(j * block_size + r, l);
+            fft::rfftInto(scratch.seg,
                           ws.laneSpec.data() + (j * lanes + l) * bins,
-                          ws.packed);
+                          scratch.packed);
         }
     }
 }
@@ -261,22 +285,36 @@ void
 BlockCirculantMatrix::matvecAccFromSpectraBatch(Matrix &y,
                                                 FftWorkspace &ws) const
 {
+    ensureSpectra();
+    matvecAccFromSpectraBatch(y, ws, 0, blockRows_, ws);
+}
+
+void
+BlockCirculantMatrix::matvecAccFromSpectraBatch(
+    Matrix &y, const FftWorkspace &spec, std::size_t i0,
+    std::size_t i1, FftWorkspace &scratch) const
+{
     const std::size_t lanes = y.cols();
     ernn_assert(y.rows() == rows_,
                 "matvecAccFromSpectraBatch: y rows");
     const std::size_t lb = blockSize_;
     const std::size_t bins = lb / 2 + 1;
-    ernn_assert(ws.laneSpecLanes == lanes &&
-                ws.laneSpecSegs == blockCols_ &&
-                ws.laneSpecBins == bins,
+    ernn_assert(spec.laneSpecLanes == lanes &&
+                spec.laneSpecSegs == blockCols_ &&
+                spec.laneSpecBins == bins,
                 "matvecAccFromSpectraBatch: lane spectra were built "
                 "for a different geometry");
-    ensureSpectra();
+    ernn_assert(i0 <= i1 && i1 <= blockRows_,
+                "matvecAccFromSpectraBatch: block rows [" << i0 << ", "
+                << i1 << ") outside " << blockRows_);
+    ernn_assert(spectraValid_, "matvecAccFromSpectraBatch: generator "
+                               "spectra are cold (warmSpectra first)");
 
-    ws.laneAcc.resize(lanes * bins);
+    scratch.laneAcc.resize(lanes * bins);
 
-    for (std::size_t i = 0; i < blockRows_; ++i) {
-        std::fill(ws.laneAcc.begin(), ws.laneAcc.end(), Complex(0, 0));
+    for (std::size_t i = i0; i < i1; ++i) {
+        std::fill(scratch.laneAcc.begin(), scratch.laneAcc.end(),
+                  Complex(0, 0));
         for (std::size_t j = 0; j < blockCols_; ++j) {
             // One pass over the cached generator spectrum serves
             // every lane (generator-major streaming over the
@@ -284,14 +322,14 @@ BlockCirculantMatrix::matvecAccFromSpectraBatch(Matrix &y,
             const Complex *w =
                 spectra_.data() + (i * blockCols_ + j) * bins;
             fft::accumulateConjProductLanes(
-                ws.laneAcc.data(), w,
-                ws.laneSpec.data() + j * lanes * bins, lanes, bins);
+                scratch.laneAcc.data(), w,
+                spec.laneSpec.data() + j * lanes * bins, lanes, bins);
         }
         for (std::size_t l = 0; l < lanes; ++l) {
-            fft::irfftInto(ws.laneAcc.data() + l * bins, lb, ws.outSeg,
-                           ws.packed);
+            fft::irfftInto(scratch.laneAcc.data() + l * bins, lb,
+                           scratch.outSeg, scratch.packed);
             for (std::size_t r = 0; r < lb; ++r)
-                y.at(i * lb + r, l) += ws.outSeg[r];
+                y.at(i * lb + r, l) += scratch.outSeg[r];
         }
     }
 }

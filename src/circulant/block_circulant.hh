@@ -44,7 +44,8 @@ enum class MatvecMode
  * serves matrices of any geometry: every buffer is resized on use and
  * keeps its capacity, so after a warm-up pass over the shapes in play
  * the steady-state matvec performs no heap allocation. The runtime's
- * CirculantFFT inference backend owns one of these per session; the
+ * CirculantFFT inference backend owns one of these per session, plus
+ * one per compute-pool part for the staging of pooled regions; the
  * legacy allocation-free entry points share a thread-local one.
  */
 struct FftWorkspace
@@ -82,13 +83,34 @@ void computeSegmentSpectra(const Vector &x, std::size_t block_size,
 /**
  * Batch-major form of computeSegmentSpectra: @p x is a (cols x lanes)
  * activation matrix, one utterance lane per column; every lane's
- * segment spectra land in ws.laneSpectra[lane]. Each lane runs the
- * exact transforms the solo entry point runs, so downstream results
- * stay bit-identical per lane.
+ * segment spectra land in ws.laneSpec. Each lane runs the exact
+ * transforms the solo entry point runs, so downstream results stay
+ * bit-identical per lane. The [0, q) case of the range form below.
  */
 void computeSegmentSpectraBatch(const Matrix &x,
                                 std::size_t block_size,
                                 FftWorkspace &ws);
+
+/**
+ * Size ws.laneSpec (and its geometry tags) for the segment spectra
+ * of @p x without transforming anything: the serial prologue of a
+ * pooled computeSegmentSpectraBatch.
+ */
+void sizeSegmentSpectraBatch(const Matrix &x, std::size_t block_size,
+                             FftWorkspace &ws);
+
+/**
+ * Range form: FFT input segments [j0, j1) of every lane into
+ * ws.laneSpec, which sizeSegmentSpectraBatch must already have sized
+ * for @p x. The seg/packed staging comes from @p scratch, so
+ * disjoint segment ranges can run concurrently, each with its own
+ * scratch (@p scratch may be @p ws itself).
+ */
+void computeSegmentSpectraBatch(const Matrix &x,
+                                std::size_t block_size,
+                                std::size_t j0, std::size_t j1,
+                                FftWorkspace &ws,
+                                FftWorkspace &scratch);
 
 class BlockCirculantMatrix
 {
@@ -177,15 +199,29 @@ class BlockCirculantMatrix
 
     /**
      * Batch-major stage 2: Y += W X for every lane at once, given
-     * each lane's segment spectra in ws.laneSpectra (from
+     * each lane's segment spectra in ws.laneSpec (from
      * computeSegmentSpectraBatch). Y is (rows x lanes). The loop
      * order is generator-major: each cached generator spectrum is
      * loaded once per call and accumulated against every lane before
      * moving on — the weight traffic one solo matvec pays, amortized
      * over the whole batch. Per lane the accumulation order matches
-     * matvecAccFromSpectra exactly (bit-identical columns).
+     * matvecAccFromSpectra exactly (bit-identical columns). The
+     * [0, blockRows()) case of the range form below.
      */
     void matvecAccFromSpectraBatch(Matrix &y, FftWorkspace &ws) const;
+
+    /**
+     * Range form: block rows [i0, i1) of Y += W X, reading the lane
+     * spectra of @p spec and staging laneAcc/outSeg/packed in
+     * @p scratch (which may be @p spec itself). Every block row owns
+     * its accumulator and its output rows, so disjoint ranges run
+     * concurrently — each with its own scratch — and produce the
+     * whole-matrix bits. Needs warm generator spectra (warmSpectra()):
+     * the lazy rebuild is not thread-safe, so this form only checks.
+     */
+    void matvecAccFromSpectraBatch(Matrix &y, const FftWorkspace &spec,
+                                   std::size_t i0, std::size_t i1,
+                                   FftWorkspace &scratch) const;
 
     /**
      * Build the cached generator spectra now (normally lazy). The
@@ -207,7 +243,7 @@ class BlockCirculantMatrix
 
     /**
      * Batch-major transpose backprop: dX += Wᵀ dY for every lane at
-     * once, given each lane's dY segment spectra in ws.laneSpectra
+     * once, given each lane's dY segment spectra in ws.laneSpec
      * (from computeSegmentSpectraBatch on the upstream-gradient
      * matrix). dX is (cols x lanes). Generator-major like the batched
      * forward; per lane the block accumulation runs in the exact
@@ -220,8 +256,8 @@ class BlockCirculantMatrix
     /**
      * Batch-major generator gradient: grad.gen += the lane sum of the
      * circular correlation of dy_i with x_j, with per-lane input
-     * spectra in wsX.laneSpectra and upstream-gradient spectra in
-     * wsDy.laneSpectra. The lane sum accumulates in the frequency
+     * spectra in wsX.laneSpec and upstream-gradient spectra in
+     * wsDy.laneSpec. The lane sum accumulates in the frequency
      * domain (ascending lane order), so each block pays one IFFT per
      * batch instead of one per lane; the IFFT is linear, so this
      * equals the per-lane solo sum up to rounding. wsX also lends the

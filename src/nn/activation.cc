@@ -33,12 +33,18 @@ tanhAct(Real x)
 void
 applyActivation(ActKind kind, Vector &v)
 {
+    applyActivation(kind, v.data(), v.size());
+}
+
+void
+applyActivation(ActKind kind, Real *v, std::size_t n)
+{
     if (kind == ActKind::Sigmoid) {
-        for (auto &x : v)
-            x = sigmoid(x);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = sigmoid(v[i]);
     } else {
-        for (auto &x : v)
-            x = std::tanh(x);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = std::tanh(v[i]);
     }
 }
 
@@ -101,8 +107,14 @@ PiecewiseLinear::eval(Real x) const
 void
 PiecewiseLinear::apply(Vector &v) const
 {
-    for (auto &x : v)
-        x = eval(x);
+    apply(v.data(), v.size());
+}
+
+void
+PiecewiseLinear::apply(Real *v, std::size_t n) const
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = eval(v[i]);
 }
 
 Real

@@ -34,6 +34,9 @@ Real tanhAct(Real x);
 /** Apply the exact activation elementwise. */
 void applyActivation(ActKind kind, Vector &v);
 
+/** Apply the exact activation to the @p n values at @p v. */
+void applyActivation(ActKind kind, Real *v, std::size_t n);
+
 /** Elementwise activation returning a new vector. */
 Vector activated(ActKind kind, const Vector &v);
 
@@ -70,6 +73,9 @@ class PiecewiseLinear
 
     /** Apply elementwise in place. */
     void apply(Vector &v) const;
+
+    /** Apply to the @p n values at @p v in place. */
+    void apply(Real *v, std::size_t n) const;
 
     /** Maximum absolute error against the exact function
      *  (measured on a dense grid over [-range-1, range+1]). */

@@ -222,10 +222,27 @@ CirculantFftKernel::applyBatch(const Matrix &x, Matrix &y,
         apply(x.raw(), y.raw(), scratch);
         return;
     }
-    y.setZero();
-    circulant::computeSegmentSpectraBatch(x, w_.blockSize(),
-                                          scratch.fft);
-    w_.matvecAccFromSpectraBatch(y, scratch.fft);
+    // Size the shared spectra table serially, then transform disjoint
+    // segment ranges and accumulate disjoint block-row ranges on the
+    // pool, each part in its own staging: every output row keeps its
+    // one accumulation chain, so any thread count gives these bits.
+    const std::size_t lb = w_.blockSize();
+    const std::size_t lanes = x.cols();
+    circulant::sizeSegmentSpectraBatch(x, lb, scratch.fft);
+    scratch.forEachPart(
+        w_.blockCols(),
+        [&](std::size_t part, std::size_t j0, std::size_t j1) {
+            circulant::computeSegmentSpectraBatch(
+                x, lb, j0, j1, scratch.fft, scratch.fftPart(part));
+        });
+    scratch.forEachPart(
+        w_.blockRows(),
+        [&](std::size_t part, std::size_t i0, std::size_t i1) {
+            std::fill(y.data() + i0 * lb * lanes,
+                      y.data() + i1 * lb * lanes, 0.0);
+            w_.matvecAccFromSpectraBatch(y, scratch.fft, i0, i1,
+                                         scratch.fftPart(part));
+        });
 }
 
 // --- FixedPointKernel --------------------------------------------------

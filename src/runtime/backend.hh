@@ -26,6 +26,7 @@
 #ifndef ERNN_RUNTIME_BACKEND_HH
 #define ERNN_RUNTIME_BACKEND_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -37,6 +38,7 @@
 #include "circulant/block_circulant.hh"
 #include "nn/linear_op.hh"
 #include "quant/fixed_point.hh"
+#include "runtime/thread_pool.hh"
 
 namespace ernn::runtime
 {
@@ -52,8 +54,6 @@ enum class BackendKind
 
 /** Human-readable backend name ("auto", "dense", ...). */
 std::string backendKindName(BackendKind kind);
-
-class ThreadPool;
 
 /** Arithmetic width of the Dense backend's kernels. */
 enum class DensePrecision
@@ -113,17 +113,64 @@ struct CompileOptions
  */
 struct KernelScratch
 {
+    /** Solo-path FFT scratch; in pooled regions also the input's lane
+     *  spectra and part 0's staging (see fftPart). */
     circulant::FftWorkspace fft;
+
+    /** The recurrent operand's lane spectra during a fused compiled
+     *  step, live beside fft's (the input's): one pool region
+     *  transforms both, the next reads both. */
+    circulant::FftWorkspace fftRec;
+
+    /**
+     * Per-part staging (seg/packed/laneAcc/outSeg) of pooled FFT
+     * regions, so parts never share a scratch buffer: part 0 stages
+     * in fft, part k > 0 in fftParts[k - 1]. forEachPart grows the
+     * list before entering the pool; each workspace grows on its
+     * part's first use and keeps its capacity.
+     */
+    std::vector<circulant::FftWorkspace> fftParts;
 
     /**
      * The session's compute pool (owned by the session, null = run
      * serial). Kernels with independent output-row blocks split them
      * across the pool; outputs are bit-identical either way because
      * every row keeps its own accumulation chain. Kernels must stage
-     * shared inputs (xq/xqh/xf) *before* entering the pool — staging
-     * is not thread-safe.
+     * shared inputs (xq/xqh/xf, lane spectra sizes) *before* entering
+     * the pool — staging is not thread-safe.
      */
     ThreadPool *pool = nullptr;
+
+    /** FFT staging of pool part @p part (see fftParts). */
+    circulant::FftWorkspace &fftPart(std::size_t part)
+    {
+        return part == 0 ? fft : fftParts[part - 1];
+    }
+
+    /**
+     * Split [0, n) into min(pool threads, n) contiguous parts with
+     * the pool's fixed arithmetic and run f(part, begin, end) once
+     * per part, on the pool (inline without one). @p part indexes
+     * fftPart(), whose workspaces exist before any part starts.
+     */
+    template <typename F>
+    void forEachPart(std::size_t n, F &&f)
+    {
+        const std::size_t parts =
+            pool ? std::min(pool->threads(), n) : 1;
+        if (parts < 2) {
+            if (n != 0)
+                f(std::size_t{0}, std::size_t{0}, n);
+            return;
+        }
+        if (fftParts.size() + 1 < parts)
+            fftParts.resize(parts - 1);
+        pool->parallelFor(parts, [&](std::size_t p0, std::size_t p1) {
+            for (std::size_t p = p0; p < p1; ++p)
+                f(p, ThreadPool::partBegin(n, parts, p),
+                  ThreadPool::partBegin(n, parts, p + 1));
+        });
+    }
 
     /**
      * Armed (totalBits != 0) by sessions over a native-integer
@@ -206,6 +253,9 @@ struct KernelScratch
         fft.laneSpecLanes = fft.laneSpecSegs = fft.laneSpecBins = 0;
         fft.laneAcc.clear();
         fft.laneAcc.shrink_to_fit();
+        fftRec = circulant::FftWorkspace();
+        fftParts.clear();
+        fftParts.shrink_to_fit();
     }
 };
 
@@ -305,7 +355,8 @@ class DenseKernel : public LinearKernel
 /**
  * Block-circulant FFT kernel: owns the generators with their spectra
  * precomputed at compile() time; matvecs run the decoupled FFT path
- * through the session's shared workspace.
+ * through the session's shared workspace. The batched form splits
+ * its segment FFTs and then its block rows across the session pool.
  */
 class CirculantFftKernel : public LinearKernel
 {
@@ -319,7 +370,8 @@ class CirculantFftKernel : public LinearKernel
 
     /** Per-lane segment FFTs, then generator-major frequency-domain
      *  accumulation: each cached generator spectrum is streamed once
-     *  per call and reused across every lane. */
+     *  per call and reused across every lane. Two pool regions (over
+     *  segments, then over block rows), one scratch per part. */
     void applyBatch(const Matrix &x, Matrix &y,
                     KernelScratch &scratch) const override;
     std::string backendName() const override { return "circulant-fft"; }

@@ -19,11 +19,17 @@
  * This header is internal to src/runtime — user code should only see
  * CompiledLayer through CompiledModel::layer().
  *
- * Threading: stepBatch() runs each gate's batch GEMM through the
- * compute pool the session lends via KernelScratch::pool (null =
- * serial). Layers never spawn threads themselves, and the row/block
- * partition inside each kernel never reorders an accumulation chain,
- * so any thread count produces the serial bits.
+ * Threading: stepBatch() runs on the compute pool the session lends
+ * via KernelScratch::pool (null = serial). When every gate matrix
+ * runs the CirculantFFT backend, a step is a few pool regions of its
+ * own: the shared segment FFTs, then per range of gate rows the
+ * spectra MAC + IFFT of every gate and the whole cell update of
+ * those rows (the GRU adds a barrier for Wcc, which reads r . c'
+ * over all rows). Otherwise each gate kernel splits its own rows and
+ * the cell update runs as one more region. Layers never spawn
+ * threads, and no partition reorders an accumulation chain or
+ * crosses an elementwise op, so any thread count produces the
+ * serial bits.
  */
 
 #ifndef ERNN_RUNTIME_COMPILED_LAYERS_HH
@@ -64,6 +70,22 @@ struct GruParts
     Vector bz, br, bc;                           //!< gate biases
 };
 
+/**
+ * Row-major (rows x lanes) views of the buffers one step works on:
+ * stepBatch()'s matrices, or step()'s vectors as lanes = 1. The cell
+ * updates run over row ranges of these views, so one code path
+ * serves the solo step, the batched step and every pool part.
+ */
+struct StepRows
+{
+    std::size_t lanes;
+    Real *g1, *g2, *g3, *g4; //!< gate buffers
+    Real *t1, *t2, *t3;      //!< cell/candidate temporaries
+    const Real *c;           //!< cell state c_{t-1}
+    Real *y;                 //!< layer output rows (null: none)
+    Real *h;                 //!< y_{t-1} rows to overwrite (null: none)
+};
+
 class CompiledLstmLayer : public CompiledLayer
 {
   public:
@@ -93,9 +115,19 @@ class CompiledLstmLayer : public CompiledLayer
     const LstmParts &parts() const { return p_; }
 
   private:
+    /**
+     * The cell update of rows [r0, r1) once the gate pre-activations
+     * are in g1..g4: peepholes, biases, activations, c_t into t2 and
+     * m_t into t3 (copied to y and h when set: no projection).
+     */
+    void cellRows(const StepRows &v, std::size_t r0, std::size_t r1,
+                  const Datapath &dp) const;
+
     LstmParts p_;
 
-    /** Shared-operand gate groups (empty = unfused fallback). */
+    /** Shared-operand gate groups {i, f, g, o} on x and on y_{t-1}
+     *  (empty = unfused fallback; stepBatch fuses only when both
+     *  groups are present). */
     std::vector<const circulant::BlockCirculantMatrix *> fusedInput_;
     std::vector<const circulant::BlockCirculantMatrix *> fusedRec_;
 };
@@ -129,9 +161,21 @@ class CompiledGruLayer : public CompiledLayer
     const GruParts &parts() const { return p_; }
 
   private:
+    /** Rows [r0, r1) of the z/r gates (g1/g2 pre-activations in) and
+     *  of r . c' into t2, the operand of Wcc. */
+    void gateRows(const StepRows &v, std::size_t r0, std::size_t r1,
+                  const Datapath &dp) const;
+
+    /** Rows [r0, r1) of the candidate (g3 holds Wcx x, t1 holds
+     *  Wcc (r . c')) and the blend into t3 and y. */
+    void blendRows(const StepRows &v, std::size_t r0, std::size_t r1,
+                   const Datapath &dp) const;
+
     GruParts p_;
 
-    /** Shared-operand gate groups (empty = unfused fallback). */
+    /** Shared-operand groups {z, r, c~} on x and {z, r, c~} on the
+     *  state — Wcc last, run on r . c' (empty = unfused fallback;
+     *  stepBatch fuses only when both groups are present). */
     std::vector<const circulant::BlockCirculantMatrix *> fusedInput_;
     std::vector<const circulant::BlockCirculantMatrix *> fusedRec_;
 };

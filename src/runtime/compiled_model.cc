@@ -11,7 +11,7 @@ namespace ernn::runtime
 {
 
 void
-Datapath::activate(nn::ActKind kind, Vector &v) const
+Datapath::activate(nn::ActKind kind, Real *v, std::size_t n) const
 {
     if (fixedPoint) {
         if (integerDatapath) {
@@ -25,11 +25,11 @@ Datapath::activate(nn::ActKind kind, Vector &v) const
             const std::int64_t off = -valueFormat.minQ();
             const auto last =
                 static_cast<std::int64_t>(lut.size()) - 1;
-            for (auto &x : v) {
+            for (std::size_t i = 0; i < n; ++i) {
                 const std::int64_t idx =
-                    std::clamp(valueFormat.toQ(x) + off,
+                    std::clamp(valueFormat.toQ(v[i]) + off,
                                std::int64_t{0}, last);
-                x = lut[static_cast<std::size_t>(idx)];
+                v[i] = lut[static_cast<std::size_t>(idx)];
             }
             return;
         }
@@ -37,11 +37,11 @@ Datapath::activate(nn::ActKind kind, Vector &v) const
             kind == nn::ActKind::Sigmoid ? sigmoidTable.get()
                                          : tanhTable.get();
         if (table) {
-            table->apply(v);
+            table->apply(v, n);
             return;
         }
     }
-    nn::applyActivation(kind, v);
+    nn::applyActivation(kind, v, n);
 }
 
 namespace detail
@@ -85,6 +85,52 @@ checkKernel(const LinearKernel *k, const char *name,
                 "compiled layer: kernel " << name << " is "
                 << k->outDim() << "x" << k->inDim() << ", expected "
                 << out_dim << "x" << in_dim);
+}
+
+/**
+ * Pool region of a fused step: the lane spectra of @p x (block
+ * @p lbIn) into ks.fft and of @p rec (block @p lbRec) into
+ * ks.fftRec, split over the two operands' concatenated segment list.
+ * A null @p x transforms @p rec alone.
+ */
+void
+fusedSpectra(KernelScratch &ks, const Matrix *x, std::size_t lbIn,
+             const Matrix &rec, std::size_t lbRec)
+{
+    if (x)
+        circulant::sizeSegmentSpectraBatch(*x, lbIn, ks.fft);
+    circulant::sizeSegmentSpectraBatch(rec, lbRec, ks.fftRec);
+    const std::size_t qIn = x ? ks.fft.laneSpecSegs : 0;
+    ks.forEachPart(
+        qIn + ks.fftRec.laneSpecSegs,
+        [&](std::size_t part, std::size_t j0, std::size_t j1) {
+            circulant::FftWorkspace &w = ks.fftPart(part);
+            if (j0 < qIn)
+                circulant::computeSegmentSpectraBatch(
+                    *x, lbIn, j0, std::min(j1, qIn), ks.fft, w);
+            if (j1 > qIn)
+                circulant::computeSegmentSpectraBatch(
+                    rec, lbRec, std::max(j0, qIn) - qIn, j1 - qIn,
+                    ks.fftRec, w);
+        });
+}
+
+/** Zero rows [r0, r1) of @p m. */
+void
+zeroRows(Matrix &m, std::size_t r0, std::size_t r1)
+{
+    std::fill(m.data() + r0 * m.cols(), m.data() + r1 * m.cols(), 0.0);
+}
+
+/** StepRows over a solo (Vector) or batched (Matrix) scratch. */
+template <typename Scratch, typename Buf>
+StepRows
+stepRows(Scratch &s, const Buf &c, std::size_t lanes)
+{
+    return StepRows{lanes,         s.g1.data(), s.g2.data(),
+                    s.g3.data(),   s.g4.data(), s.t1.data(),
+                    s.t2.data(),   s.t3.data(), c.data(),
+                    nullptr,       nullptr};
 }
 
 } // namespace
@@ -269,60 +315,88 @@ CompiledLstmLayer::step(const Vector &x, LayerState &state, Vector &y,
         }
     }
 
-    // Input gate: i = sigma(Wix x + Wir y' + wic.c' + bi).
-    if (p_.cfg.peephole)
-        hadamardAcc(s.g1, p_.wic, state.c);
-    addInPlace(s.g1, p_.bi);
-    dp.post(s.g1);
-    dp.activate(nn::ActKind::Sigmoid, s.g1);
-    dp.post(s.g1);
+    StepRows v = stepRows(s, state.c, 1);
+    if (!p_.wym) {
+        v.y = y.data();
+        v.h = state.h.data();
+    }
+    cellRows(v, 0, p_.cfg.hiddenSize, dp);
 
-    // Forget gate.
-    if (p_.cfg.peephole)
-        hadamardAcc(s.g2, p_.wfc, state.c);
-    addInPlace(s.g2, p_.bf);
-    dp.post(s.g2);
-    dp.activate(nn::ActKind::Sigmoid, s.g2);
-    dp.post(s.g2);
-
-    // Cell input (no peephole, Eqn. 1c).
-    addInPlace(s.g3, p_.bc);
-    dp.post(s.g3);
-    dp.activate(p_.cfg.cellInputAct, s.g3);
-    dp.post(s.g3);
-
-    // Cell state: c = f.c' + g.i (Eqn. 1d) into t2.
-    std::fill(s.t2.begin(), s.t2.end(), 0.0);
-    hadamardAcc(s.t2, s.g2, state.c);
-    hadamardAcc(s.t2, s.g3, s.g1);
-    dp.post(s.t2);
-
-    // Output gate (peephole reads the *current* c, Eqn. 1e).
-    if (p_.cfg.peephole)
-        hadamardAcc(s.g4, p_.woc, s.t2);
-    addInPlace(s.g4, p_.bo);
-    dp.post(s.g4);
-    dp.activate(nn::ActKind::Sigmoid, s.g4);
-    dp.post(s.g4);
-
-    // Cell output m = o . h(c) (Eqn. 1f) into t3.
-    std::copy(s.t2.begin(), s.t2.end(), s.t3.begin());
-    dp.activate(p_.cfg.outputAct, s.t3);
-    dp.post(s.t3);
-    hadamardInPlace(s.t3, s.g4);
-    dp.post(s.t3);
-
-    // Projected output (Eqn. 1g).
+    // Projected output (Eqn. 1g), then commit: c_t and y_t become
+    // the next step's history.
     if (p_.wym) {
         p_.wym->apply(s.t3, y, ks);
         dp.post(y);
-    } else {
-        std::copy(s.t3.begin(), s.t3.end(), y.begin());
+        std::copy(y.begin(), y.end(), state.h.begin());
     }
-
-    // Commit state: c_t and y_t become the next step's history.
     std::swap(state.c, s.t2);
-    std::copy(y.begin(), y.end(), state.h.begin());
+}
+
+void
+CompiledLstmLayer::cellRows(const StepRows &v, std::size_t r0,
+                            std::size_t r1, const Datapath &dp) const
+{
+    const std::size_t lanes = v.lanes;
+    const std::size_t off = r0 * lanes;
+    const std::size_t n = (r1 - r0) * lanes;
+    const bool peep = p_.cfg.peephole;
+
+    // One gate: g += peephole . cell (Eqn. 1a/1b/1e), g += bias, then
+    // post / activate / post.
+    const auto gate = [&](Real *g, const Vector *w, const Real *cell,
+                          const Vector &bias, nn::ActKind act) {
+        for (std::size_t r = r0; r < r1; ++r) {
+            Real *gr = g + r * lanes;
+            if (w) {
+                const Real wr = (*w)[r];
+                const Real *cr = cell + r * lanes;
+                for (std::size_t l = 0; l < lanes; ++l)
+                    gr[l] += wr * cr[l];
+            }
+            const Real b = bias[r];
+            for (std::size_t l = 0; l < lanes; ++l)
+                gr[l] += b;
+        }
+        dp.post(g + off, n);
+        dp.activate(act, g + off, n);
+        dp.post(g + off, n);
+    };
+
+    // Input and forget gates read c_{t-1}; the cell input has no
+    // peephole (Eqn. 1c).
+    gate(v.g1, peep ? &p_.wic : nullptr, v.c, p_.bi,
+         nn::ActKind::Sigmoid);
+    gate(v.g2, peep ? &p_.wfc : nullptr, v.c, p_.bf,
+         nn::ActKind::Sigmoid);
+    gate(v.g3, nullptr, nullptr, p_.bc, p_.cfg.cellInputAct);
+
+    // Cell state: c = f.c' + g.i (Eqn. 1d) into t2.
+    for (std::size_t k = off; k < off + n; ++k) {
+        Real c = 0.0;
+        c += v.g2[k] * v.c[k];
+        c += v.g3[k] * v.g1[k];
+        v.t2[k] = c;
+    }
+    dp.post(v.t2 + off, n);
+
+    // Output gate (peephole reads the *current* c, Eqn. 1e).
+    gate(v.g4, peep ? &p_.woc : nullptr, v.t2, p_.bo,
+         nn::ActKind::Sigmoid);
+
+    // Cell output m = o . h(c) (Eqn. 1f) into t3.
+    Real *m = v.t3 + off;
+    std::copy(v.t2 + off, v.t2 + off + n, m);
+    dp.activate(p_.cfg.outputAct, m, n);
+    dp.post(m, n);
+    for (std::size_t k = 0; k < n; ++k)
+        m[k] *= v.g4[off + k];
+    dp.post(m, n);
+
+    // Without a projection m_t is the output and the next history.
+    if (v.y)
+        std::copy(m, m + n, v.y + off);
+    if (v.h)
+        std::copy(m, m + n, v.h + off);
 }
 
 void
@@ -356,100 +430,67 @@ CompiledLstmLayer::stepBatch(const Matrix &x, LayerBatchState &state,
     // The batched mirror of step(): the same operations in the same
     // order, over feature x lanes matrices instead of vectors, so
     // every lane column computes the exact bits the solo path would.
-    // Gate contributions first; each kernel call is one GEMM-shaped
-    // pass over the weights shared by every lane.
-    Matrix *gates[4] = {&s.g1, &s.g2, &s.g3, &s.g4};
-    if (!fusedInput_.empty()) {
-        for (Matrix *g : gates)
-            g->setZero();
-        circulant::computeSegmentSpectraBatch(
-            x, fusedInput_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 4; ++k)
-            fusedInput_[k]->matvecAccFromSpectraBatch(*gates[k],
-                                                      ks.fft);
-    } else {
-        p_.wix->applyBatch(x, s.g1, ks);
-        dp.post(s.g1.raw());
-        p_.wfx->applyBatch(x, s.g2, ks);
-        dp.post(s.g2.raw());
-        p_.wcx->applyBatch(x, s.g3, ks);
-        dp.post(s.g3.raw());
-        p_.wox->applyBatch(x, s.g4, ks);
-        dp.post(s.g4.raw());
+    // Rows are independent once the gate pre-activations exist, so
+    // every pool part runs the whole cell update of its own rows.
+    const std::size_t h = p_.cfg.hiddenSize;
+    StepRows v = stepRows(s, state.c, x.cols());
+    if (!p_.wym) {
+        v.y = y.data();
+        v.h = state.h.data();
     }
-    if (!fusedRec_.empty()) {
-        circulant::computeSegmentSpectraBatch(
-            state.h, fusedRec_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 4; ++k)
-            fusedRec_[k]->matvecAccFromSpectraBatch(*gates[k],
-                                                    ks.fft);
+    Matrix *gates[4] = {&s.g1, &s.g2, &s.g3, &s.g4};
+    if (!fusedInput_.empty() && !fusedRec_.empty()) {
+        // Region 1: the segment FFTs of x and y_{t-1}, shared by the
+        // four gates. Region 2: per range of gate rows, every gate's
+        // input-then-recurrent spectra MAC + IFFT and then the cell
+        // update. Ranges cover whole blocks of the larger block size.
+        const std::size_t lbIn = fusedInput_.front()->blockSize();
+        const std::size_t lbRec = fusedRec_.front()->blockSize();
+        fusedSpectra(ks, &x, lbIn, state.h, lbRec);
+        const std::size_t group = std::max(lbIn, lbRec);
+        ks.forEachPart(h / group, [&](std::size_t part, std::size_t g0,
+                                      std::size_t g1) {
+            circulant::FftWorkspace &w = ks.fftPart(part);
+            const std::size_t r0 = g0 * group, r1 = g1 * group;
+            for (std::size_t k = 0; k < 4; ++k) {
+                zeroRows(*gates[k], r0, r1);
+                fusedInput_[k]->matvecAccFromSpectraBatch(
+                    *gates[k], ks.fft, r0 / lbIn, r1 / lbIn, w);
+                fusedRec_[k]->matvecAccFromSpectraBatch(
+                    *gates[k], ks.fftRec, r0 / lbRec, r1 / lbRec, w);
+            }
+            cellRows(v, r0, r1, dp);
+        });
     } else {
+        // Each kernel call is one GEMM-shaped pass over the weights
+        // shared by every lane, split over the pool by the kernel.
+        const LinearKernel *ins[4] = {p_.wix.get(), p_.wfx.get(),
+                                      p_.wcx.get(), p_.wox.get()};
         const LinearKernel *recs[4] = {p_.wir.get(), p_.wfr.get(),
                                        p_.wcr.get(), p_.wor.get()};
+        for (std::size_t k = 0; k < 4; ++k) {
+            ins[k]->applyBatch(x, *gates[k], ks);
+            dp.post(gates[k]->raw());
+        }
         for (std::size_t k = 0; k < 4; ++k) {
             recs[k]->applyBatch(state.h, s.t1, ks);
             dp.post(s.t1.raw());
             addInPlace(gates[k]->raw(), s.t1.raw());
         }
+        ks.forEachPart(h, [&](std::size_t, std::size_t r0,
+                              std::size_t r1) {
+            cellRows(v, r0, r1, dp);
+        });
     }
 
-    // Input gate: i = sigma(Wix x + Wir y' + wic.c' + bi).
-    if (p_.cfg.peephole)
-        hadamardBroadcastAcc(s.g1, p_.wic, state.c);
-    addBiasRows(s.g1, p_.bi);
-    dp.post(s.g1.raw());
-    dp.activate(nn::ActKind::Sigmoid, s.g1.raw());
-    dp.post(s.g1.raw());
-
-    // Forget gate.
-    if (p_.cfg.peephole)
-        hadamardBroadcastAcc(s.g2, p_.wfc, state.c);
-    addBiasRows(s.g2, p_.bf);
-    dp.post(s.g2.raw());
-    dp.activate(nn::ActKind::Sigmoid, s.g2.raw());
-    dp.post(s.g2.raw());
-
-    // Cell input (no peephole, Eqn. 1c).
-    addBiasRows(s.g3, p_.bc);
-    dp.post(s.g3.raw());
-    dp.activate(p_.cfg.cellInputAct, s.g3.raw());
-    dp.post(s.g3.raw());
-
-    // Cell state: c = f.c' + g.i (Eqn. 1d) into t2.
-    s.t2.setZero();
-    hadamardAcc(s.t2.raw(), s.g2.raw(), state.c.raw());
-    hadamardAcc(s.t2.raw(), s.g3.raw(), s.g1.raw());
-    dp.post(s.t2.raw());
-
-    // Output gate (peephole reads the *current* c, Eqn. 1e).
-    if (p_.cfg.peephole)
-        hadamardBroadcastAcc(s.g4, p_.woc, s.t2);
-    addBiasRows(s.g4, p_.bo);
-    dp.post(s.g4.raw());
-    dp.activate(nn::ActKind::Sigmoid, s.g4.raw());
-    dp.post(s.g4.raw());
-
-    // Cell output m = o . h(c) (Eqn. 1f) into t3.
-    std::copy(s.t2.raw().begin(), s.t2.raw().end(),
-              s.t3.raw().begin());
-    dp.activate(p_.cfg.outputAct, s.t3.raw());
-    dp.post(s.t3.raw());
-    hadamardInPlace(s.t3.raw(), s.g4.raw());
-    dp.post(s.t3.raw());
-
-    // Projected output (Eqn. 1g).
+    // Projected output (Eqn. 1g) on the pooled kernel, then commit.
     if (p_.wym) {
         p_.wym->applyBatch(s.t3, y, ks);
         dp.post(y.raw());
-    } else {
-        std::copy(s.t3.raw().begin(), s.t3.raw().end(),
-                  y.raw().begin());
+        std::copy(y.raw().begin(), y.raw().end(),
+                  state.h.raw().begin());
     }
-
-    // Commit state: c_t and y_t become the next step's history.
     std::swap(state.c, s.t2);
-    std::copy(y.raw().begin(), y.raw().end(),
-              state.h.raw().begin());
 }
 
 std::vector<const LinearKernel *>
@@ -482,7 +523,8 @@ CompiledGruLayer::CompiledGruLayer(GruParts parts)
 
     fusedInput_ = fusableGroup(
         {p_.wzx.get(), p_.wrx.get(), p_.wcx.get()});
-    fusedRec_ = fusableGroup({p_.wzc.get(), p_.wrc.get()});
+    fusedRec_ = fusableGroup(
+        {p_.wzc.get(), p_.wrc.get(), p_.wcc.get()});
 }
 
 std::size_t
@@ -568,37 +610,72 @@ CompiledGruLayer::step(const Vector &x, LayerState &state, Vector &y,
         addInPlace(s.g2, s.t1);
     }
 
-    // Update gate (Eqn. 2a).
-    addInPlace(s.g1, p_.bz);
-    dp.post(s.g1);
-    dp.activate(nn::ActKind::Sigmoid, s.g1);
-    dp.post(s.g1);
-
-    // Reset gate (Eqn. 2b).
-    addInPlace(s.g2, p_.br);
-    dp.post(s.g2);
-    dp.activate(nn::ActKind::Sigmoid, s.g2);
-    dp.post(s.g2);
-
-    // Candidate from the reset-gated history (Eqn. 2c).
-    std::fill(s.t2.begin(), s.t2.end(), 0.0);
-    hadamardAcc(s.t2, s.g2, state.c);
-    dp.post(s.t2);
+    StepRows v = stepRows(s, state.c, 1);
+    v.y = y.data();
+    gateRows(v, 0, h, dp);
     p_.wcc->apply(s.t2, s.t1, ks);
-    dp.post(s.t1);
-    addInPlace(s.g3, s.t1);
-    addInPlace(s.g3, p_.bc);
-    dp.post(s.g3);
-    dp.activate(p_.cfg.candidateAct, s.g3);
-    dp.post(s.g3);
-
-    // State blend (Eqn. 2d): c = (1-z).c' + z.c~ into t3.
-    for (std::size_t k = 0; k < h; ++k)
-        s.t3[k] = (1.0 - s.g1[k]) * state.c[k] + s.g1[k] * s.g3[k];
-    dp.post(s.t3);
-
-    std::copy(s.t3.begin(), s.t3.end(), y.begin());
+    blendRows(v, 0, h, dp);
     std::swap(state.c, s.t3);
+}
+
+void
+CompiledGruLayer::gateRows(const StepRows &v, std::size_t r0,
+                           std::size_t r1, const Datapath &dp) const
+{
+    const std::size_t lanes = v.lanes;
+    const std::size_t off = r0 * lanes;
+    const std::size_t n = (r1 - r0) * lanes;
+
+    // Update (Eqn. 2a) and reset (Eqn. 2b) gates.
+    for (auto [g, bias] : {std::pair{v.g1, &p_.bz},
+                           std::pair{v.g2, &p_.br}}) {
+        for (std::size_t r = r0; r < r1; ++r) {
+            const Real b = (*bias)[r];
+            for (std::size_t l = 0; l < lanes; ++l)
+                g[r * lanes + l] += b;
+        }
+        dp.post(g + off, n);
+        dp.activate(nn::ActKind::Sigmoid, g + off, n);
+        dp.post(g + off, n);
+    }
+
+    // The reset-gated history r . c' into t2, Wcc's operand.
+    for (std::size_t k = off; k < off + n; ++k) {
+        Real rc = 0.0;
+        rc += v.g2[k] * v.c[k];
+        v.t2[k] = rc;
+    }
+    dp.post(v.t2 + off, n);
+}
+
+void
+CompiledGruLayer::blendRows(const StepRows &v, std::size_t r0,
+                            std::size_t r1, const Datapath &dp) const
+{
+    const std::size_t lanes = v.lanes;
+    const std::size_t off = r0 * lanes;
+    const std::size_t n = (r1 - r0) * lanes;
+
+    // Candidate from the reset-gated history (Eqn. 2c); t1 holds
+    // Wcc (r . c').
+    dp.post(v.t1 + off, n);
+    for (std::size_t r = r0; r < r1; ++r) {
+        const Real b = p_.bc[r];
+        for (std::size_t k = r * lanes; k < (r + 1) * lanes; ++k) {
+            v.g3[k] += v.t1[k];
+            v.g3[k] += b;
+        }
+    }
+    dp.post(v.g3 + off, n);
+    dp.activate(p_.cfg.candidateAct, v.g3 + off, n);
+    dp.post(v.g3 + off, n);
+
+    // State blend (Eqn. 2d): c = (1-z).c' + z.c~ into t3 — also the
+    // layer output.
+    for (std::size_t k = off; k < off + n; ++k)
+        v.t3[k] = (1.0 - v.g1[k]) * v.c[k] + v.g1[k] * v.g3[k];
+    dp.post(v.t3 + off, n);
+    std::copy(v.t3 + off, v.t3 + off + n, v.y + off);
 }
 
 void
@@ -629,16 +706,42 @@ CompiledGruLayer::stepBatch(const Matrix &x, LayerBatchState &state,
                             KernelScratch &ks, const Datapath &dp) const
 {
     // Batched mirror of step(): identical operation order per lane
-    // column, GEMM-shaped kernel calls across lanes.
-    Matrix *gates[3] = {&s.g1, &s.g2, &s.g3};
-    if (!fusedInput_.empty()) {
-        for (Matrix *g : gates)
-            g->setZero();
-        circulant::computeSegmentSpectraBatch(
-            x, fusedInput_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 3; ++k)
-            fusedInput_[k]->matvecAccFromSpectraBatch(*gates[k],
-                                                      ks.fft);
+    // column, GEMM-shaped kernel calls across lanes, and the
+    // elementwise gate work split over the pool by rows. Wcc reads
+    // r . c' over every row, so the step has a barrier there.
+    const std::size_t h = p_.cfg.hiddenSize;
+    StepRows v = stepRows(s, state.c, x.cols());
+    v.y = y.data();
+    if (!fusedInput_.empty() && !fusedRec_.empty()) {
+        // FFT(x, c') -> z/r/c~-input rows and r . c' -> FFT(r . c')
+        // -> Wcc rows, candidate and blend: four pool regions.
+        const std::size_t lbIn = fusedInput_.front()->blockSize();
+        const std::size_t lbRec = fusedRec_.front()->blockSize();
+        fusedSpectra(ks, &x, lbIn, state.c, lbRec);
+        Matrix *gates[3] = {&s.g1, &s.g2, &s.g3};
+        const std::size_t group = std::max(lbIn, lbRec);
+        ks.forEachPart(h / group, [&](std::size_t part, std::size_t g0,
+                                      std::size_t g1) {
+            circulant::FftWorkspace &w = ks.fftPart(part);
+            const std::size_t r0 = g0 * group, r1 = g1 * group;
+            for (std::size_t k = 0; k < 3; ++k) {
+                zeroRows(*gates[k], r0, r1);
+                fusedInput_[k]->matvecAccFromSpectraBatch(
+                    *gates[k], ks.fft, r0 / lbIn, r1 / lbIn, w);
+            }
+            for (std::size_t k = 0; k < 2; ++k)
+                fusedRec_[k]->matvecAccFromSpectraBatch(
+                    *gates[k], ks.fftRec, r0 / lbRec, r1 / lbRec, w);
+            gateRows(v, r0, r1, dp);
+        });
+        fusedSpectra(ks, nullptr, 0, s.t2, lbRec);
+        ks.forEachPart(h / lbRec, [&](std::size_t part, std::size_t i0,
+                                      std::size_t i1) {
+            zeroRows(s.t1, i0 * lbRec, i1 * lbRec);
+            fusedRec_[2]->matvecAccFromSpectraBatch(
+                s.t1, ks.fftRec, i0, i1, ks.fftPart(part));
+            blendRows(v, i0 * lbRec, i1 * lbRec, dp);
+        });
     } else {
         p_.wzx->applyBatch(x, s.g1, ks);
         dp.post(s.g1.raw());
@@ -646,59 +749,22 @@ CompiledGruLayer::stepBatch(const Matrix &x, LayerBatchState &state,
         dp.post(s.g2.raw());
         p_.wcx->applyBatch(x, s.g3, ks);
         dp.post(s.g3.raw());
-    }
-    if (!fusedRec_.empty()) {
-        circulant::computeSegmentSpectraBatch(
-            state.c, fusedRec_.front()->blockSize(), ks.fft);
-        for (std::size_t k = 0; k < 2; ++k)
-            fusedRec_[k]->matvecAccFromSpectraBatch(*gates[k],
-                                                    ks.fft);
-    } else {
         p_.wzc->applyBatch(state.c, s.t1, ks);
         dp.post(s.t1.raw());
         addInPlace(s.g1.raw(), s.t1.raw());
         p_.wrc->applyBatch(state.c, s.t1, ks);
         dp.post(s.t1.raw());
         addInPlace(s.g2.raw(), s.t1.raw());
+        ks.forEachPart(h, [&](std::size_t, std::size_t r0,
+                              std::size_t r1) {
+            gateRows(v, r0, r1, dp);
+        });
+        p_.wcc->applyBatch(s.t2, s.t1, ks);
+        ks.forEachPart(h, [&](std::size_t, std::size_t r0,
+                              std::size_t r1) {
+            blendRows(v, r0, r1, dp);
+        });
     }
-
-    // Update gate (Eqn. 2a).
-    addBiasRows(s.g1, p_.bz);
-    dp.post(s.g1.raw());
-    dp.activate(nn::ActKind::Sigmoid, s.g1.raw());
-    dp.post(s.g1.raw());
-
-    // Reset gate (Eqn. 2b).
-    addBiasRows(s.g2, p_.br);
-    dp.post(s.g2.raw());
-    dp.activate(nn::ActKind::Sigmoid, s.g2.raw());
-    dp.post(s.g2.raw());
-
-    // Candidate from the reset-gated history (Eqn. 2c).
-    s.t2.setZero();
-    hadamardAcc(s.t2.raw(), s.g2.raw(), state.c.raw());
-    dp.post(s.t2.raw());
-    p_.wcc->applyBatch(s.t2, s.t1, ks);
-    dp.post(s.t1.raw());
-    addInPlace(s.g3.raw(), s.t1.raw());
-    addBiasRows(s.g3, p_.bc);
-    dp.post(s.g3.raw());
-    dp.activate(p_.cfg.candidateAct, s.g3.raw());
-    dp.post(s.g3.raw());
-
-    // State blend (Eqn. 2d): c = (1-z).c' + z.c~ into t3.
-    {
-        const Vector &z = s.g1.raw();
-        const Vector &cand = s.g3.raw();
-        const Vector &prev = state.c.raw();
-        Vector &out = s.t3.raw();
-        for (std::size_t k = 0; k < out.size(); ++k)
-            out[k] = (1.0 - z[k]) * prev[k] + z[k] * cand[k];
-    }
-    dp.post(s.t3.raw());
-
-    std::copy(s.t3.raw().begin(), s.t3.raw().end(),
-              y.raw().begin());
     std::swap(state.c, s.t3);
 }
 

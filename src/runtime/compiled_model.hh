@@ -73,16 +73,20 @@ struct Datapath
     std::shared_ptr<const Vector> tanhLut;
 
     /** Quantize a produced value vector (no-op when exact). */
-    void post(Vector &v) const
+    void post(Vector &v) const { post(v.data(), v.size()); }
+
+    /** post() over the @p n values at @p v. */
+    void post(Real *v, std::size_t n) const
     {
         if (!fixedPoint)
             return;
-        for (auto &x : v)
-            x = valueFormat.quantize(x);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = valueFormat.quantize(v[i]);
     }
 
-    /** Apply an activation through the configured implementation. */
-    void activate(nn::ActKind kind, Vector &v) const;
+    /** Apply an activation through the configured implementation to
+     *  the @p n values at @p v. */
+    void activate(nn::ActKind kind, Real *v, std::size_t n) const;
 };
 
 /** Per-layer recurrent state: owned by streams, sized by the layer. */

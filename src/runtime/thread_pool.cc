@@ -56,15 +56,8 @@ ThreadPool::work(const Job &job)
             nextPart_.fetch_add(1, std::memory_order_relaxed);
         if (part >= job.parts)
             return;
-        // Fixed arithmetic split: the first (n % parts) ranges take
-        // one extra index, so the partition never depends on which
-        // thread claims which range.
-        const std::size_t base = job.n / job.parts;
-        const std::size_t rem = job.n % job.parts;
-        const std::size_t begin =
-            part * base + std::min<std::size_t>(part, rem);
-        const std::size_t end = begin + base + (part < rem ? 1 : 0);
-        job.fn(begin, end, job.ctx);
+        job.fn(partBegin(job.n, job.parts, part),
+               partBegin(job.n, job.parts, part + 1), job.ctx);
     }
 }
 

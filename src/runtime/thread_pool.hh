@@ -82,6 +82,20 @@ class ThreadPool
             &f);
     }
 
+    /**
+     * First index of range @p part when [0, n) splits into @p parts
+     * contiguous ranges — the fixed split run() uses: the first
+     * (n % parts) ranges take one extra index, so the partition never
+     * depends on which thread claims which range. Range @p part is
+     * [partBegin(part), partBegin(part + 1)).
+     */
+    static std::size_t
+    partBegin(std::size_t n, std::size_t parts, std::size_t part)
+    {
+        const std::size_t rem = n % parts;
+        return part * (n / parts) + (part < rem ? part : rem);
+    }
+
   private:
     /** One published job: every worker copies it out under mu_ and
      *  then executes from its private copy, so the shared fields are

@@ -43,7 +43,10 @@ struct OpCounters
 
 /**
  * Global (thread-local) operation accounting. Disabled by default;
- * enable around a region of interest with OpCountScope.
+ * enable around a region of interest with OpCountScope. Only the
+ * calling thread's work is tallied: transforms a session runs on its
+ * compute pool's workers are not counted, so count through a
+ * 1-thread session.
  */
 class OpCount
 {

@@ -56,14 +56,6 @@ hadamard(const Vector &x, const Vector &y)
 }
 
 void
-hadamardInPlace(Vector &y, const Vector &x)
-{
-    checkSameSize(y, x, "hadamardInPlace");
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] *= x[i];
-}
-
-void
 hadamardAcc(Vector &acc, const Vector &x, const Vector &y)
 {
     checkSameSize(acc, x, "hadamardAcc");

@@ -31,9 +31,6 @@ void axpy(Vector &y, Real a, const Vector &x);
 /** out = x ⊙ y (the paper's point-wise multiplication). */
 Vector hadamard(const Vector &x, const Vector &y);
 
-/** y = y ⊙ x in place. */
-void hadamardInPlace(Vector &y, const Vector &x);
-
 /** acc += x ⊙ y. */
 void hadamardAcc(Vector &acc, const Vector &x, const Vector &y);
 

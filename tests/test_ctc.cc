@@ -7,13 +7,17 @@
  * both the serial and server-backed evaluatePer paths), tie-break
  * conventions, beam-N never raising PER on a trained model, and
  * seeded fuzz over random logit tensors asserting the search
- * invariants (unique prefixes, probability mass <= 1, sorted output).
+ * invariants (unique prefixes, probability mass <= 1, sorted output),
+ * and a seeded fuzz of the flat decoder against the map-keyed prefix
+ * beam it replaced, kept here as the bit-exact oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -106,6 +110,108 @@ bruteForceMass(const nn::Sequence &logits, int blank)
             break;
     }
     return mass;
+}
+
+/**
+ * The map-keyed prefix beam search — the decoder's previous
+ * implementation, kept as the oracle for the flat one. std::map keys
+ * the beam by prefix, so duplicates merge by construction and its
+ * lexicographic iteration fixes every log-sum-exp order; every frame
+ * rebuilds the map and prunes it with a stable sort.
+ */
+std::vector<CtcHypothesis>
+mapBeamOracle(const nn::Sequence &logits, const CtcDecodeOptions &opts)
+{
+    const Real negInf = -std::numeric_limits<Real>::infinity();
+    struct Cand
+    {
+        Real pb, pnb;
+        int tieSym = std::numeric_limits<int>::max();
+        Real score() const { return logAdd(pb, pnb); }
+    };
+    const Cand empty{negInf, negInf};
+    using Beam = std::map<std::vector<int>, Cand>;
+    Beam beam;
+    beam.emplace(std::vector<int>{}, Cand{0.0, negInf});
+
+    for (const Vector &frame : logits) {
+        Real m = negInf;
+        for (Real x : frame)
+            m = std::max(m, x);
+        Real sum = 0.0;
+        for (Real x : frame)
+            sum += std::exp(x - m);
+        const Real lse = m + std::log(sum);
+        Vector lp(frame.size());
+        for (std::size_t c = 0; c < frame.size(); ++c)
+            lp[c] = frame[c] - lse;
+
+        Beam next;
+        const auto add = [&](const std::vector<int> &key, bool blankPath,
+                             Real v, int sym) {
+            Cand &d = next.emplace(key, empty).first->second;
+            Real &slot = blankPath ? d.pb : d.pnb;
+            slot = logAdd(slot, v);
+            d.tieSym = std::min(d.tieSym, sym);
+        };
+        for (const auto &[prefix, cand] : beam) {
+            const Real total = cand.score();
+            const int last = prefix.empty() ? -1 : prefix.back();
+            for (int c = 0; c < static_cast<int>(lp.size()); ++c) {
+                auto ext = prefix;
+                ext.push_back(c);
+                if (c == opts.blank) {
+                    add(prefix, true, total + lp[c], c);
+                } else if (c == last) {
+                    if (cand.pnb != negInf)
+                        add(prefix, false, cand.pnb + lp[c], c);
+                    if (cand.pb != negInf)
+                        add(ext, false, cand.pb + lp[c], c);
+                } else {
+                    add(ext, false, total + lp[c], c);
+                }
+            }
+        }
+
+        std::vector<std::pair<const std::vector<int> *, const Cand *>>
+            order;
+        for (const auto &entry : next)
+            order.emplace_back(&entry.first, &entry.second);
+        std::stable_sort(
+            order.begin(), order.end(),
+            [](const auto &a, const auto &b) {
+                if (a.second->score() != b.second->score())
+                    return a.second->score() > b.second->score();
+                if (a.second->tieSym != b.second->tieSym)
+                    return a.second->tieSym < b.second->tieSym;
+                return *a.first < *b.first;
+            });
+        if (order.size() > opts.beamWidth)
+            order.resize(opts.beamWidth);
+        Beam pruned;
+        for (const auto &[prefix, cand] : order)
+            pruned.emplace(*prefix, *cand);
+        beam = std::move(pruned);
+    }
+
+    std::vector<CtcHypothesis> out;
+    for (const auto &[prefix, cand] : beam)
+        out.push_back(CtcHypothesis{prefix, cand.score()});
+    std::stable_sort(out.begin(), out.end(),
+                     [](const CtcHypothesis &a, const CtcHypothesis &b) {
+                         if (a.logProb != b.logProb)
+                             return a.logProb > b.logProb;
+                         return a.labels < b.labels;
+                     });
+    return out;
+}
+
+std::uint64_t
+bitsOf(Real v)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
 }
 
 nn::StackedRnn
@@ -426,4 +532,49 @@ TEST(CtcFuzz, InvariantsHoldOnRandomLogits)
             prevBest = hyps[0].logProb;
         }
     }
+}
+
+// --- fuzz: flat beam == map-keyed oracle, bit for bit --------------------------
+
+TEST(CtcFuzz, FlatBeamMatchesMapOracleBitForBit)
+{
+    // Widths 1/2/4/7, no blank or a blank at either end of the class
+    // range, smooth logits and rounded ones (ties in scores and in
+    // tie-break symbols), and 0- and 1-frame inputs.
+    Rng rng(97);
+    std::size_t cases = 0;
+    for (int iter = 0; iter < 600; ++iter) {
+        const std::size_t t = iter % 10 == 0 ? iter % 20 / 10
+                                             : 1 + rng.index(24);
+        const std::size_t classes = 2 + rng.index(9);
+        nn::Sequence logits = randomLogits(t, classes, rng, 3.0);
+        if (iter % 2 == 1)
+            for (auto &frame : logits)
+                for (Real &x : frame)
+                    x = std::round(x);
+        const int blanks[3] = {-1, 0, static_cast<int>(classes) - 1};
+        for (int blank : blanks) {
+            for (std::size_t beam : {std::size_t(1), std::size_t(2),
+                                     std::size_t(4), std::size_t(7)}) {
+                CtcDecodeOptions opts;
+                opts.beamWidth = beam;
+                opts.blank = blank;
+                const auto got = ctcDecodeBeam(logits, opts);
+                const auto want = mapBeamOracle(logits, opts);
+                ASSERT_EQ(got.size(), want.size())
+                    << "iter " << iter << " beam " << beam;
+                for (std::size_t i = 0; i < got.size(); ++i) {
+                    ASSERT_EQ(got[i].labels, want[i].labels)
+                        << "iter " << iter << " beam " << beam
+                        << " blank " << blank << " hyp " << i;
+                    ASSERT_EQ(bitsOf(got[i].logProb),
+                              bitsOf(want[i].logProb))
+                        << "iter " << iter << " beam " << beam
+                        << " blank " << blank << " hyp " << i;
+                }
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 600u * 3u * 4u);
 }

@@ -3,8 +3,9 @@
  * SIMD dispatch tests: the chunk-accumulation overflow bound at its
  * worst legal case, bit-identity of every vector level against the
  * scalar oracle (raw cores and full sessions across backends and
- * batch shapes), thread-count invariance of the pooled kernels, and
- * the ERNN_SIMD-style level parsing.
+ * batch shapes), thread-count invariance of the pooled kernels and
+ * of the fused circulant step (against 1 thread and the solo step),
+ * and the ERNN_SIMD-style level parsing.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "quant/fixed_point.hh"
 #include "runtime/continuous_batch.hh"
 #include "runtime/session.hh"
+#include "runtime/thread_pool.hh"
 #include "tensor/simd.hh"
 
 using namespace ernn;
@@ -472,6 +474,139 @@ TEST(SimdParity, ThreadCountNeverChangesTheBits)
                                    want, "threads");
         }
         seed += 100;
+    }
+}
+
+namespace
+{
+
+/** A CirculantFFT model whose every gate matrix is circulant and
+ *  which has no projection, so each layer takes the fused step. */
+struct FusedCase
+{
+    const char *name;
+    nn::ModelType type;
+    bool peephole;
+    std::size_t hidden, block, inputBlock;
+};
+
+/**
+ * Hidden sizes give 5 and 3 fused row groups (group = the larger
+ * block size): below 7 threads and not divisible by 2, 3 or 4. Input
+ * and recurrent block sizes differ in both directions.
+ */
+const FusedCase kFusedCases[] = {
+    {"lstm", nn::ModelType::Lstm, false, 40, 8, 4},
+    {"lstm-peephole", nn::ModelType::Lstm, true, 24, 4, 8},
+    {"gru", nn::ModelType::Gru, false, 40, 8, 2},
+    {"gru-uniform", nn::ModelType::Gru, false, 48, 16, 16},
+};
+
+std::shared_ptr<const CompiledModel>
+compileFused(const FusedCase &c, std::uint64_t seed)
+{
+    nn::ModelSpec spec;
+    spec.type = c.type;
+    spec.inputDim = 16;
+    spec.numClasses = 7;
+    spec.layerSizes = {c.hidden, c.hidden};
+    spec.blockSizes = {c.block, c.block};
+    spec.inputBlockSizes = {c.inputBlock, c.inputBlock};
+    spec.peephole = c.peephole;
+    nn::StackedRnn model = nn::buildModel(spec);
+    Rng rng(seed);
+    model.initXavier(rng);
+    CompileOptions opts;
+    opts.backend = BackendKind::CirculantFft;
+    auto compiled = compileShared(model, opts);
+    for (std::size_t i = 0; i < compiled->numLayers(); ++i)
+        for (const LinearKernel *k : compiled->layer(i).kernels())
+            EXPECT_EQ(k->backendName(), "circulant-fft") << c.name;
+    return compiled;
+}
+
+} // namespace
+
+TEST(SimdParity, FusedCirculantStepIsThreadCountInvariant)
+{
+    // The fused step splits segment FFTs and gate row groups across
+    // the pool; every thread count must give the 1-thread bits, and
+    // those must equal the solo step() path lane by lane.
+    std::uint64_t seed = 1200;
+    for (const FusedCase &c : kFusedCases) {
+        const auto compiled = compileFused(c, seed);
+        const CompiledModel &model = *compiled;
+        for (const std::size_t lanes : {1u, 7u, 16u}) {
+            const auto utts = raggedUtterances(lanes, 16, seed + lanes);
+            const BatchResult want = runBatch(model, utts, 1);
+            InferenceSession solo = model.createSession(1);
+            for (std::size_t u = 0; u < utts.size(); ++u) {
+                const nn::Sequence got = solo.logits(utts[u]);
+                ASSERT_EQ(got.size(), want.logits[u].size());
+                for (std::size_t t = 0; t < got.size(); ++t)
+                    for (std::size_t k = 0; k < got[t].size(); ++k)
+                        ASSERT_EQ(got[t][k], want.logits[u][t][k])
+                            << c.name << " solo u=" << u << " t=" << t;
+            }
+            for (const std::size_t threads : {2u, 3u, 4u, 7u})
+                expectBatchesIdentical(runBatch(model, utts, threads),
+                                       want, c.name);
+        }
+        seed += 10;
+    }
+}
+
+TEST(SimdParity, PooledScratchWithoutSessionMatchesSerial)
+{
+    // Drive stepBatch and applyBatch the way a standalone replay
+    // does: a default-constructed KernelScratch with only the pool
+    // set, its per-part FFT scratch grown on first use.
+    std::uint64_t seed = 1300;
+    for (const FusedCase &c : kFusedCases) {
+        const auto compiled = compileFused(c, seed);
+        const CompiledModel &model = *compiled;
+        const Datapath &dp = model.datapath();
+        for (const std::size_t threads : {2u, 3u, 7u}) {
+            ThreadPool pool(threads);
+            KernelScratch serial, pooled;
+            pooled.pool = &pool;
+            Rng rng(seed + threads);
+            for (std::size_t i = 0; i < model.numLayers(); ++i) {
+                const CompiledLayer &layer = model.layer(i);
+                const std::size_t lanes = 5;
+                LayerBatchState s0, s1;
+                LayerBatchScratch b0, b1;
+                layer.initBatchState(s0, lanes);
+                layer.initBatchState(s1, lanes);
+                layer.initBatchScratch(b0, lanes);
+                layer.initBatchScratch(b1, lanes);
+                Matrix x(layer.inputSize(), lanes);
+                Matrix y0(layer.outputSize(), lanes);
+                Matrix y1(layer.outputSize(), lanes);
+                for (int step = 0; step < 3; ++step) {
+                    rng.fillNormal(x.raw(), 0.5);
+                    layer.stepBatch(x, s0, y0, b0, serial, dp);
+                    layer.stepBatch(x, s1, y1, b1, pooled, dp);
+                    ASSERT_EQ(y0.raw(), y1.raw())
+                        << c.name << " layer " << i << " step " << step
+                        << " threads " << threads;
+                    ASSERT_EQ(s0.c.raw(), s1.c.raw()) << c.name;
+                }
+                for (const LinearKernel *k : layer.kernels()) {
+                    Matrix kx(k->inDim(), lanes);
+                    rng.fillNormal(kx.raw(), 0.5);
+                    Matrix k0(k->outDim(), lanes), k1(k->outDim(), lanes);
+                    k->applyBatch(kx, k0, serial);
+                    k->applyBatch(kx, k1, pooled);
+                    ASSERT_EQ(k0.raw(), k1.raw()) << c.name;
+                }
+            }
+            // Releasing the lane staging drops the per-part scratch;
+            // the next pooled call regrows it.
+            pooled.releaseLaneStaging();
+            EXPECT_TRUE(pooled.fftParts.empty());
+        }
+        seed += 10;
     }
 }
 
