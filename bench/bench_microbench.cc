@@ -16,6 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -582,22 +583,48 @@ BENCHMARK(BM_TrainerBatchSweep)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+/**
+ * Gate activations over 4096 values. range(0): 0 sigmoid, 1 tanh;
+ * range(1): 0 the float kernel (nn::applyActivation), 1 the
+ * 64-segment PWL table; range(2): 0 forces the scalar oracle, 1 the
+ * best detected level (the PWL table has no SIMD form). Perf-smoke
+ * prints the scalar-vs-best float-kernel ratio per function.
+ */
 void
 BM_ActivationExactVsPwl(benchmark::State &state)
 {
-    const bool pwl = state.range(0) != 0;
-    Vector v = randomVector(4096, 7);
-    const nn::PiecewiseLinear approx(nn::ActKind::Tanh, 64, 8.0);
+    const auto kind = state.range(0) == 0 ? nn::ActKind::Sigmoid
+                                          : nn::ActKind::Tanh;
+    const bool pwl = state.range(1) != 0;
+    const simd::Level level = state.range(2) != 0
+                                  ? simd::detect()
+                                  : simd::Level::Scalar;
+    const simd::Level saved = simd::active();
+    simd::setActive(level);
+    const Vector v = randomVector(4096, 7);
+    const nn::PiecewiseLinear approx(kind, 64, 8.0);
+    Vector work(v.size());
     for (auto _ : state) {
-        Vector copy = v;
+        std::copy(v.begin(), v.end(), work.begin());
         if (pwl)
-            approx.apply(copy);
+            approx.apply(work);
         else
-            nn::applyActivation(nn::ActKind::Tanh, copy);
-        benchmark::DoNotOptimize(copy);
+            nn::applyActivation(kind, work);
+        benchmark::DoNotOptimize(work.data());
     }
+    simd::setActive(saved);
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(v.size()));
+    state.SetLabel(nn::actName(kind) + (pwl ? "/pwl" : "/exact") +
+                   "/simd-" + simd::levelName(level));
 }
-BENCHMARK(BM_ActivationExactVsPwl)->Arg(0)->Arg(1);
+BENCHMARK(BM_ActivationExactVsPwl)
+    ->Args({0, 0, 0})
+    ->Args({0, 0, 1})
+    ->Args({0, 1, 0})
+    ->Args({1, 0, 0})
+    ->Args({1, 0, 1})
+    ->Args({1, 1, 0});
 
 // --- Fleet layer: artifact cold load and scheduler throughput ---
 

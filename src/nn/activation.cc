@@ -3,18 +3,21 @@
 #include <cmath>
 
 #include "base/logging.hh"
+#include "tensor/simd.hh"
 
 namespace ernn::nn
 {
 
-std::string
-actName(ActKind kind)
+namespace
 {
-    return kind == ActKind::Sigmoid ? "sigmoid" : "tanh";
-}
+
+// The libm reference the PWL tables interpolate. Table construction
+// stays on it, so the fixed-point datapath (whose LUTs and artifacts
+// are rebuilt from these tables) keeps its bits whatever the float
+// activation kernel does.
 
 Real
-sigmoid(Real x)
+libmSigmoid(Real x)
 {
     if (x >= 0) {
         const Real z = std::exp(-x);
@@ -25,9 +28,31 @@ sigmoid(Real x)
 }
 
 Real
+libmAct(ActKind kind, Real x)
+{
+    return kind == ActKind::Sigmoid ? libmSigmoid(x) : std::tanh(x);
+}
+
+} // namespace
+
+std::string
+actName(ActKind kind)
+{
+    return kind == ActKind::Sigmoid ? "sigmoid" : "tanh";
+}
+
+Real
+sigmoid(Real x)
+{
+    simd::sigmoidF64Scalar(&x, 1);
+    return x;
+}
+
+Real
 tanhAct(Real x)
 {
-    return std::tanh(x);
+    simd::tanhF64Scalar(&x, 1);
+    return x;
 }
 
 void
@@ -39,13 +64,10 @@ applyActivation(ActKind kind, Vector &v)
 void
 applyActivation(ActKind kind, Real *v, std::size_t n)
 {
-    if (kind == ActKind::Sigmoid) {
-        for (std::size_t i = 0; i < n; ++i)
-            v[i] = sigmoid(v[i]);
-    } else {
-        for (std::size_t i = 0; i < n; ++i)
-            v[i] = std::tanh(v[i]);
-    }
+    const simd::ActivationF64Fn fn = kind == ActKind::Sigmoid
+                                         ? simd::sigmoidF64Fn()
+                                         : simd::tanhF64Fn();
+    fn(v, n);
 }
 
 Vector
@@ -75,17 +97,13 @@ PiecewiseLinear::PiecewiseLinear(ActKind kind, std::size_t segments,
     satLo_ = kind == ActKind::Sigmoid ? 0.0 : -1.0;
     satHi_ = 1.0;
 
-    auto exact = [kind](Real x) {
-        return kind == ActKind::Sigmoid ? sigmoid(x) : std::tanh(x);
-    };
-
     slopes_.resize(segments);
     intercepts_.resize(segments);
     for (std::size_t s = 0; s < segments; ++s) {
         const Real x0 = lo_ + step_ * static_cast<Real>(s);
         const Real x1 = x0 + step_;
-        const Real y0 = exact(x0);
-        const Real y1 = exact(x1);
+        const Real y0 = libmAct(kind, x0);
+        const Real y1 = libmAct(kind, x1);
         slopes_[s] = (y1 - y0) / (x1 - x0);
         intercepts_[s] = y0 - slopes_[s] * x0;
     }
@@ -120,16 +138,13 @@ PiecewiseLinear::apply(Real *v, std::size_t n) const
 Real
 PiecewiseLinear::maxError() const
 {
-    auto exact = [this](Real x) {
-        return kind_ == ActKind::Sigmoid ? sigmoid(x) : std::tanh(x);
-    };
     Real worst = 0.0;
     const Real span = range_ + 1.0;
     const int grid = 4001;
     for (int i = 0; i < grid; ++i) {
         const Real x = -span + 2.0 * span * static_cast<Real>(i) /
                                    static_cast<Real>(grid - 1);
-        worst = std::max(worst, std::abs(eval(x) - exact(x)));
+        worst = std::max(worst, std::abs(eval(x) - libmAct(kind_, x)));
     }
     return worst;
 }

@@ -1,9 +1,17 @@
 /**
  * @file
- * Activation functions: exact sigmoid/tanh for training, and the
- * piecewise-linear (PWL) approximations the paper implements on-chip
- * (Sec. VIII-B1: "piecewise linear approximation method can support
- * activation implementation only using on-chip resources").
+ * Activation functions: the float sigmoid/tanh every float datapath
+ * runs (training, the compiled float backends, the HLS interpreter),
+ * and the piecewise-linear (PWL) approximations the paper implements
+ * on-chip (Sec. VIII-B1: "piecewise linear approximation method can
+ * support activation implementation only using on-chip resources").
+ *
+ * The float functions are the repo-owned kernel of
+ * simd::sigmoidF64Fn / simd::tanhF64Fn: within 4 ulp of libm, and
+ * bit-identical at every SIMD level. PWL construction and maxError()
+ * interpolate and measure against libm instead, so the fixed-point
+ * tables (and every LUT built from them) do not depend on the float
+ * kernel.
  */
 
 #ifndef ERNN_NN_ACTIVATION_HH
@@ -25,16 +33,18 @@ enum class ActKind { Sigmoid, Tanh };
 /** Human-readable name ("sigmoid" / "tanh"). */
 std::string actName(ActKind kind);
 
-/** Exact logistic function. */
+/** Logistic function, within 4 ulp of the libm formula
+ *  1 / (1 + exp(-x)); sigmoid(0) = 0.5 exactly. */
 Real sigmoid(Real x);
 
-/** Exact hyperbolic tangent. */
+/** Hyperbolic tangent, within 4 ulp of std::tanh; odd exactly. */
 Real tanhAct(Real x);
 
-/** Apply the exact activation elementwise. */
+/** Apply the float activation elementwise (the active SIMD level;
+ *  every level gives the bits of sigmoid() / tanhAct()). */
 void applyActivation(ActKind kind, Vector &v);
 
-/** Apply the exact activation to the @p n values at @p v. */
+/** Apply the float activation to the @p n values at @p v. */
 void applyActivation(ActKind kind, Real *v, std::size_t n);
 
 /** Elementwise activation returning a new vector. */
@@ -59,7 +69,7 @@ class PiecewiseLinear
 {
   public:
     /**
-     * Build an approximation by interpolating the exact function at
+     * Build an approximation by interpolating the libm function at
      * segment endpoints.
      *
      * @param kind     function to approximate
@@ -77,13 +87,17 @@ class PiecewiseLinear
     /** Apply to the @p n values at @p v in place. */
     void apply(Real *v, std::size_t n) const;
 
-    /** Maximum absolute error against the exact function
+    /** Maximum absolute error against the libm function
      *  (measured on a dense grid over [-range-1, range+1]). */
     Real maxError() const;
 
     ActKind kind() const { return kind_; }
     std::size_t segments() const { return slopes_.size(); }
     Real range() const { return range_; }
+
+    /** Per-segment slopes and intercepts: the on-chip table. */
+    const std::vector<Real> &slopes() const { return slopes_; }
+    const std::vector<Real> &intercepts() const { return intercepts_; }
 
   private:
     ActKind kind_;

@@ -176,7 +176,7 @@ makeDatapath(const CompileOptions &opts)
                     table ? table->eval(x)
                           : (kind == nn::ActKind::Sigmoid
                                  ? nn::sigmoid(x)
-                                 : std::tanh(x));
+                                 : nn::tanhAct(x));
                 lut->push_back(vf.quantize(a));
             }
             return lut;

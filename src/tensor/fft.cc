@@ -203,7 +203,7 @@ fftInPlace(CVector &a, bool inverse)
     }
 }
 
-CVector
+ERNN_NO_VECTORIZE CVector
 naiveDft(const CVector &a, bool inverse)
 {
     const std::size_t n = a.size();
@@ -401,23 +401,7 @@ accumulateConjProduct(CVector &acc, const Complex *w, const CVector &x)
 {
     ernn_assert(acc.size() == x.size(),
                 "accumulateConjProduct: bin count mismatch");
-    const std::size_t bins = acc.size();
-    ernn_assert(bins >= 2, "accumulateConjProduct: too few bins");
-    const std::size_t m = bins - 1;
-
-    // Bins 0 and m of a real spectrum are purely real.
-    acc[0] += Complex(w[0].real() * x[0].real(), 0);
-    acc[m] += Complex(w[m].real() * x[m].real(), 0);
-
-    for (std::size_t k = 1; k < m; ++k) {
-        const Real wr = w[k].real(), wi = w[k].imag();
-        const Real xr = x[k].real(), xi = x[k].imag();
-        // conj(w) * x
-        acc[k] += Complex(wr * xr + wi * xi, wr * xi - wi * xr);
-    }
-
-    if (OpCount::enabled())
-        OpCount::addEltwiseMults(2 + 4 * (m - 1));
+    accumulateConjProduct(acc.data(), w, x.data(), acc.size());
 }
 
 void

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "base/logging.hh"
 
@@ -595,7 +597,7 @@ gemmAccF64Fn()
 
 // --- complex spectra MACs ----------------------------------------------
 
-void
+ERNN_NO_VECTORIZE void
 conjMacLanesScalar(Real *acc, const Real *w, const Real *x,
                    std::size_t lanes, std::size_t bins)
 {
@@ -618,7 +620,7 @@ conjMacLanesScalar(Real *acc, const Real *w, const Real *x,
     }
 }
 
-void
+ERNN_NO_VECTORIZE void
 plainMacLanesScalar(Real *acc, const Real *w, const Real *x,
                     std::size_t lanes, std::size_t bins)
 {
@@ -849,6 +851,276 @@ gemmF32Fn()
         return &gemmF32Avx2;
 #endif
     return &gemmF32Scalar;
+}
+
+// --- f64 activations ---------------------------------------------------
+
+namespace
+{
+
+constexpr Real kLog2e = 1.4426950408889634074;
+// ln2 = kLn2Hi + kLn2Lo; kLn2Hi has 32 significant bits, so k * kLn2Hi
+// is exact for every |k| < 2^21.
+constexpr Real kLn2Hi = 6.93147180369123816490e-01;
+constexpr Real kLn2Lo = 1.90821492927058770002e-10;
+// Adding 1.5 * 2^52 rounds any |y| < 2^51 to the nearest integer k,
+// and k then sits in the low mantissa bits: bits(t) - bits(magic).
+constexpr Real kRoundMagic = 6755399441055744.0;
+constexpr std::uint64_t kRoundMagicBits = 0x4338000000000000ull;
+// e^y underflows to +0 below -746; clamping there keeps k >= -1076.
+constexpr Real kExpFloor = -746.0;
+// e^y for y <= 0 is scaled by 2^(k + 54) (a normal number for every
+// k >= -1076) and then by 2^-54, so subnormal results round once.
+constexpr std::uint64_t kExpBias = 54;
+constexpr Real kExpUnbias = 0x1p-54;
+// tanh(20) rounds to 1 (1 - tanh(20) < 2^-55).
+constexpr Real kTanhCeil = 20.0;
+// Below kTanhSplit, tanh a = a - a u C(u) / A(u) with u = a^2: Lambert's
+// continued fraction for tanh cut after seven levels, within 1e-17
+// relative there. Above it, tanh a = 1 - 2 / (e^2a + 1).
+constexpr Real kTanhSplit = 0.625;
+constexpr Real kTanhNum[] = {675675.0, 45045.0, 594.0, 1.0};
+constexpr Real kTanhDen[] = {2027025.0, 945945.0, 51975.0, 630.0, 1.0};
+constexpr int kTanhNumTerms = sizeof(kTanhNum) / sizeof(kTanhNum[0]);
+constexpr int kTanhDenTerms = sizeof(kTanhDen) / sizeof(kTanhDen[0]);
+// 1/2!, 1/3!, ..., 1/13!: the Taylor coefficients of e^r - 1 past r.
+// Degree 13 leaves a truncation error below 0.1 ulp on |r| <= ln2/2.
+constexpr Real kInvFact[] = {
+    1.0 / 2.0,         1.0 / 6.0,          1.0 / 24.0,
+    1.0 / 120.0,       1.0 / 720.0,        1.0 / 5040.0,
+    1.0 / 40320.0,     1.0 / 362880.0,     1.0 / 3628800.0,
+    1.0 / 39916800.0,  1.0 / 479001600.0,  1.0 / 6227020800.0,
+};
+constexpr int kPolyTerms = sizeof(kInvFact) / sizeof(kInvFact[0]);
+
+/** Horner over @p n ascending coefficients. */
+inline Real
+horner(const Real *coef, int n, Real u)
+{
+    Real q = coef[n - 1];
+    for (int i = n - 2; i >= 0; --i)
+        q = q * u + coef[i];
+    return q;
+}
+
+/** e^r - 1 on |r| <= ln2/2: r + r^2 q(r), q by Horner. */
+inline Real
+expm1Poly(Real r)
+{
+    return r + (r * r) * horner(kInvFact, kPolyTerms, r);
+}
+
+/** 2^(k + bias) from t = y log2e + kRoundMagic (k in its low bits). */
+inline Real
+pow2FromRounded(Real t, std::uint64_t bias)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &t, sizeof bits);
+    bits = ((bits - kRoundMagicBits) + (1023 + bias)) << 52;
+    Real s;
+    std::memcpy(&s, &bits, sizeof s);
+    return s;
+}
+
+/** t = y log2e + magic and the reduced r = y - k ln2 (hi, then lo). */
+inline Real
+reduce(Real y, Real &t)
+{
+    t = y * kLog2e + kRoundMagic;
+    const Real kd = t - kRoundMagic;
+    return (y - kd * kLn2Hi) - kd * kLn2Lo;
+}
+
+inline Real
+sigmoidOne(Real x)
+{
+    const Real a = std::fabs(x);
+    Real y = -a;
+    y = kExpFloor > y ? kExpFloor : y;
+    Real t;
+    const Real p = expm1Poly(reduce(y, t));
+    const Real z = ((1.0 + p) * pow2FromRounded(t, kExpBias)) *
+                   kExpUnbias;
+    const Real num = x < 0.0 ? z : 1.0;
+    return num / (1.0 + z);
+}
+
+inline Real
+tanhOne(Real x)
+{
+    Real a = std::fabs(x);
+    a = kTanhCeil < a ? kTanhCeil : a;
+    // Both branches run and one quotient is taken, as in the lanes.
+    const Real y = a + a;
+    Real t;
+    const Real p = expm1Poly(reduce(y, t));
+    const Real s = pow2FromRounded(t, 0);
+    const Real ePlus1 = (s + 1.0) + s * p; // e^2a + 1
+    const Real u = a * a;
+    const Real c = horner(kTanhNum, kTanhNumTerms, u);
+    const Real d = horner(kTanhDen, kTanhDenTerms, u);
+    const bool small = a < kTanhSplit;
+    const Real base = small ? a : 1.0;
+    const Real num = small ? (a * u) * c : 2.0;
+    const Real den = small ? d : ePlus1;
+    return std::copysign(base - num / den, x);
+}
+
+} // namespace
+
+void
+sigmoidF64Scalar(Real *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = sigmoidOne(v[i]);
+}
+
+void
+tanhF64Scalar(Real *v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = tanhOne(v[i]);
+}
+
+#if ERNN_SIMD_X86
+
+namespace
+{
+
+// The scalar helpers above, one operation for one operation. Every
+// min/max/compare keeps the scalar operand order, so NaN takes the
+// same branch: _mm256_max_pd(a, b) is a > b ? a : b.
+
+__attribute__((target("avx2"))) inline __m256d
+hornerAvx2(const Real *coef, int n, __m256d u)
+{
+    __m256d q = _mm256_set1_pd(coef[n - 1]);
+    for (int i = n - 2; i >= 0; --i)
+        q = _mm256_add_pd(_mm256_mul_pd(q, u),
+                          _mm256_set1_pd(coef[i]));
+    return q;
+}
+
+__attribute__((target("avx2"))) inline __m256d
+expm1PolyAvx2(__m256d r)
+{
+    return _mm256_add_pd(
+        r, _mm256_mul_pd(_mm256_mul_pd(r, r),
+                         hornerAvx2(kInvFact, kPolyTerms, r)));
+}
+
+__attribute__((target("avx2"))) inline __m256d
+pow2FromRoundedAvx2(__m256d t, std::uint64_t bias)
+{
+    const __m256i k = _mm256_sub_epi64(
+        _mm256_castpd_si256(t),
+        _mm256_set1_epi64x(static_cast<long long>(kRoundMagicBits)));
+    return _mm256_castsi256_pd(_mm256_slli_epi64(
+        _mm256_add_epi64(
+            k, _mm256_set1_epi64x(static_cast<long long>(1023 + bias))),
+        52));
+}
+
+__attribute__((target("avx2"))) inline __m256d
+reduceAvx2(__m256d y, __m256d &t)
+{
+    t = _mm256_add_pd(_mm256_mul_pd(y, _mm256_set1_pd(kLog2e)),
+                      _mm256_set1_pd(kRoundMagic));
+    const __m256d kd = _mm256_sub_pd(t, _mm256_set1_pd(kRoundMagic));
+    return _mm256_sub_pd(
+        _mm256_sub_pd(y, _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Hi))),
+        _mm256_mul_pd(kd, _mm256_set1_pd(kLn2Lo)));
+}
+
+__attribute__((target("avx2"))) inline __m256d
+sigmoid4(__m256d x)
+{
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    const __m256d one = _mm256_set1_pd(1.0);
+    const __m256d a = _mm256_andnot_pd(sign, x);
+    __m256d y = _mm256_xor_pd(a, sign);
+    y = _mm256_max_pd(_mm256_set1_pd(kExpFloor), y);
+    __m256d t;
+    const __m256d p = expm1PolyAvx2(reduceAvx2(y, t));
+    const __m256d z = _mm256_mul_pd(
+        _mm256_mul_pd(_mm256_add_pd(one, p),
+                      pow2FromRoundedAvx2(t, kExpBias)),
+        _mm256_set1_pd(kExpUnbias));
+    const __m256d num = _mm256_blendv_pd(
+        one, z, _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_LT_OQ));
+    return _mm256_div_pd(num, _mm256_add_pd(one, z));
+}
+
+__attribute__((target("avx2"))) inline __m256d
+tanh4(__m256d x)
+{
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    const __m256d one = _mm256_set1_pd(1.0);
+    __m256d a = _mm256_andnot_pd(sign, x);
+    a = _mm256_min_pd(_mm256_set1_pd(kTanhCeil), a);
+    const __m256d y = _mm256_add_pd(a, a);
+    __m256d t;
+    const __m256d p = expm1PolyAvx2(reduceAvx2(y, t));
+    const __m256d s = pow2FromRoundedAvx2(t, 0);
+    const __m256d ePlus1 =
+        _mm256_add_pd(_mm256_add_pd(s, one), _mm256_mul_pd(s, p));
+    const __m256d u = _mm256_mul_pd(a, a);
+    const __m256d c = hornerAvx2(kTanhNum, kTanhNumTerms, u);
+    const __m256d d = hornerAvx2(kTanhDen, kTanhDenTerms, u);
+    const __m256d small =
+        _mm256_cmp_pd(a, _mm256_set1_pd(kTanhSplit), _CMP_LT_OQ);
+    const __m256d base = _mm256_blendv_pd(one, a, small);
+    const __m256d num = _mm256_blendv_pd(
+        _mm256_set1_pd(2.0), _mm256_mul_pd(_mm256_mul_pd(a, u), c),
+        small);
+    const __m256d den = _mm256_blendv_pd(ePlus1, d, small);
+    const __m256d th = _mm256_sub_pd(base, _mm256_div_pd(num, den));
+    return _mm256_or_pd(_mm256_andnot_pd(sign, th),
+                        _mm256_and_pd(sign, x));
+}
+
+__attribute__((target("avx2"))) void
+sigmoidF64Avx2(Real *v, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        _mm256_storeu_pd(v + i, sigmoid4(_mm256_loadu_pd(v + i)));
+    for (; i < n; ++i)
+        v[i] = sigmoidOne(v[i]);
+}
+
+__attribute__((target("avx2"))) void
+tanhF64Avx2(Real *v, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 4 <= n; i += 4)
+        _mm256_storeu_pd(v + i, tanh4(_mm256_loadu_pd(v + i)));
+    for (; i < n; ++i)
+        v[i] = tanhOne(v[i]);
+}
+
+} // namespace
+
+#endif // ERNN_SIMD_X86
+
+ActivationF64Fn
+sigmoidF64Fn()
+{
+#if ERNN_SIMD_X86
+    if (active() == Level::Avx2)
+        return &sigmoidF64Avx2;
+#endif
+    return &sigmoidF64Scalar;
+}
+
+ActivationF64Fn
+tanhF64Fn()
+{
+#if ERNN_SIMD_X86
+    if (active() == Level::Avx2)
+        return &tanhF64Avx2;
+#endif
+    return &tanhF64Scalar;
 }
 
 } // namespace ernn::simd

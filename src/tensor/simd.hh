@@ -19,6 +19,10 @@
  *  - f32 GEMM (gemmF32): the opt-in dense f32 mode. Scalar and AVX2
  *    forms are bit-identical to each other by the same
  *    across-the-lanes argument; f32 vs f64 is approximate by nature.
+ *  - f64 sigmoid/tanh (sigmoidF64 / tanhF64): a repo-owned exp
+ *    (mul and add only), evaluated lane-wise — every element is an
+ *    independent fixed sequence of IEEE operations, so the AVX2 form
+ *    reproduces the scalar bits lane for lane.
  *
  * Dispatch is per-process: detect() probes the CPU once, the
  * ERNN_SIMD environment variable (scalar|avx2|neon|auto) can force a
@@ -35,6 +39,20 @@
 #include <string>
 
 #include "base/types.hh"
+
+/**
+ * Keep a function's loops scalar. GCC's vectorizer turns a paired
+ * complex mul-add / mul-sub into vfmaddsub / vfmsubadd on FMA targets
+ * even under -ffp-contract=off, fusing what the vector levels round
+ * twice. The scalar complex-MAC oracles carry this so they stay
+ * unfused on -march=haswell / native builds, and fft::naiveDft so
+ * the library holds no fused instruction at all (CI checks it).
+ */
+#if defined(__GNUC__) && !defined(__clang__)
+#define ERNN_NO_VECTORIZE __attribute__((optimize("no-tree-vectorize")))
+#else
+#define ERNN_NO_VECTORIZE
+#endif
 
 namespace ernn::simd
 {
@@ -207,6 +225,47 @@ void gemmF32Scalar(const float *w, std::size_t rows, std::size_t cols,
 
 /** gemmF32 for the active() level. */
 GemmF32Fn gemmF32Fn();
+
+// --- f64 activations (float LSTM/GRU gate tail) -----------------------
+
+/**
+ * In-place logistic sigmoid / tanh over @p n doubles: the one
+ * production implementation behind nn::sigmoid, nn::tanhAct and
+ * nn::applyActivation.
+ *
+ * The exp both use is repo-owned. Cody–Waite reduction writes
+ * y = k ln2 + r with |r| <= ln2/2 (ln2 split hi/lo so k * ln2_hi is
+ * exact), e^r - 1 is the degree-13 Taylor polynomial by Horner (mul
+ * and add only, never FMA), and 2^k is built in the exponent field.
+ *
+ *  - sigmoid(x) = 1 / (1 + e^-|x|) for x >= 0 and
+ *    e^-|x| / (1 + e^-|x|) below 0 — the libm formula, one division.
+ *  - tanh of a = |x| (clamped at 20, where tanh rounds to 1), sign
+ *    restored: a - a u C(u) / A(u) with u = a^2 below a = 0.625 —
+ *    Lambert's continued fraction, written as a minus a small
+ *    correction so it keeps relative accuracy down to subnormal a —
+ *    and 1 - 2 / (e^2a + 1) above. tanh(-x) = -tanh(x) exactly.
+ *
+ * Both stay within 4 ulp of libm over [-40, 40] (tests sweep it;
+ * measured at most 2). sigmoid(0) = 0.5, tanh(+-0) = +-0, NaN stays
+ * NaN and +-inf saturates. The AVX2 form runs the same operations in
+ * the same order four lanes at a time, so every level is
+ * bit-identical to the scalar oracle by construction, tails included.
+ * NEON keeps the scalar oracle, as the f64 GEMMs do.
+ */
+using ActivationF64Fn = void (*)(Real *v, std::size_t n);
+
+/** The scalar sigmoid oracle. */
+void sigmoidF64Scalar(Real *v, std::size_t n);
+
+/** The scalar tanh oracle. */
+void tanhF64Scalar(Real *v, std::size_t n);
+
+/** sigmoidF64 for the active() level. */
+ActivationF64Fn sigmoidF64Fn();
+
+/** tanhF64 for the active() level. */
+ActivationF64Fn tanhF64Fn();
 
 } // namespace ernn::simd
 

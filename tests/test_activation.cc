@@ -1,18 +1,82 @@
 /**
  * @file
- * Activation tests: exact values, derivative identities, and the
- * piecewise-linear hardware approximation (error bounds, saturation,
- * monotone improvement with segment count).
+ * Activation tests: known values, the float kernel's ulp bound
+ * against libm over dense sweeps and its exact special values,
+ * derivative identities, and the piecewise-linear hardware
+ * approximation (error bounds, saturation, monotone improvement with
+ * segment count).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "nn/activation.hh"
 
 using namespace ernn;
 using namespace ernn::nn;
+
+namespace
+{
+
+/** The libm logistic function the float kernel is measured against. */
+Real
+libmSigmoid(Real x)
+{
+    if (x >= 0)
+        return 1.0 / (1.0 + std::exp(-x));
+    const Real z = std::exp(x);
+    return z / (1.0 + z);
+}
+
+/** |got - want| in units of the last place of @p want. */
+Real
+ulpError(Real got, Real want)
+{
+    if (got == want)
+        return 0.0;
+    const Real a = std::abs(want);
+    const Real ulp =
+        std::nextafter(a, std::numeric_limits<Real>::infinity()) - a;
+    return std::abs(got - want) / ulp;
+}
+
+/** Worst ulp error of the vector kernel against libm over the @p n
+ *  points x_i = point(i), run in bounded chunks. */
+template <typename Point>
+void
+sweepUlp(std::size_t n, Point point, Real &worstSig, Real &worstTanh)
+{
+    constexpr std::size_t kChunk = 1 << 16;
+    Vector xs, sig, th;
+    for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
+        const std::size_t m = std::min(kChunk, n - i0);
+        xs.resize(m);
+        for (std::size_t i = 0; i < m; ++i)
+            xs[i] = point(i0 + i);
+        sig = xs;
+        th = xs;
+        applyActivation(ActKind::Sigmoid, sig);
+        applyActivation(ActKind::Tanh, th);
+        for (std::size_t i = 0; i < m; ++i) {
+            worstSig = std::max(worstSig,
+                                ulpError(sig[i], libmSigmoid(xs[i])));
+            worstTanh = std::max(worstTanh,
+                                 ulpError(th[i], std::tanh(xs[i])));
+        }
+    }
+}
+
+bool
+sameBits(Real a, Real b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+} // namespace
 
 TEST(Activation, SigmoidKnownValues)
 {
@@ -29,6 +93,94 @@ TEST(Activation, TanhMatchesStd)
 {
     for (Real x : {-3.0, -0.5, 0.0, 0.5, 3.0})
         EXPECT_DOUBLE_EQ(tanhAct(x), std::tanh(x));
+}
+
+TEST(Activation, WithinFourUlpOfLibmOnDenseSweep)
+{
+    // 8M + 1 evenly spaced points over [-40, 40]: both saturation
+    // tails, the Cody–Waite boundaries of the exp reduction and the
+    // tanh branch point at |x| = 0.625.
+    const std::size_t n = (std::size_t{1} << 23) + 1;
+    Real worstSig = 0.0, worstTanh = 0.0;
+    sweepUlp(
+        n,
+        [n](std::size_t i) {
+            return -40.0 + 80.0 * static_cast<Real>(i) /
+                               static_cast<Real>(n - 1);
+        },
+        worstSig, worstTanh);
+    EXPECT_LE(worstSig, 4.0);
+    EXPECT_LE(worstTanh, 4.0);
+}
+
+TEST(Activation, TanhKeepsRelativeAccuracyNearZero)
+{
+    // Log-spaced over [1e-300, 1): a 1 - 2/(e^2x + 1) form would
+    // cancel to nothing here; the kernel's a - a u C(u) / A(u) form
+    // keeps every significant bit.
+    const std::size_t n = std::size_t{1} << 20;
+    Real worstSig = 0.0, worstTanh = 0.0;
+    sweepUlp(
+        n,
+        [n](std::size_t i) {
+            return std::pow(10.0, -300.0 + 300.0 *
+                                               static_cast<Real>(i) /
+                                               static_cast<Real>(n));
+        },
+        worstSig, worstTanh);
+    EXPECT_LE(worstSig, 4.0);
+    EXPECT_LE(worstTanh, 4.0);
+}
+
+TEST(Activation, ExactSpecialValues)
+{
+    const Real inf = std::numeric_limits<Real>::infinity();
+    const Real nan = std::numeric_limits<Real>::quiet_NaN();
+    EXPECT_EQ(sigmoid(0.0), 0.5);
+    EXPECT_EQ(sigmoid(-0.0), 0.5);
+    EXPECT_TRUE(sameBits(tanhAct(0.0), 0.0));
+    EXPECT_TRUE(sameBits(tanhAct(-0.0), -0.0));
+    EXPECT_TRUE(std::isnan(sigmoid(nan)));
+    EXPECT_TRUE(std::isnan(tanhAct(nan)));
+    EXPECT_EQ(sigmoid(inf), 1.0);
+    EXPECT_EQ(sigmoid(-inf), 0.0);
+    EXPECT_EQ(tanhAct(inf), 1.0);
+    EXPECT_EQ(tanhAct(-inf), -1.0);
+    // Far past the clamps: saturated, never NaN or overflow.
+    EXPECT_EQ(sigmoid(1e300), 1.0);
+    EXPECT_EQ(sigmoid(-1e300), 0.0);
+    EXPECT_EQ(tanhAct(1e300), 1.0);
+    EXPECT_EQ(tanhAct(-1e300), -1.0);
+    // Subnormal tanh inputs come back unchanged, as from libm.
+    const Real tiny = std::numeric_limits<Real>::denorm_min() * 12345;
+    EXPECT_EQ(tanhAct(tiny), std::tanh(tiny));
+
+    // The vector path agrees on the same special inputs.
+    Vector v{0.0, -0.0, nan, inf, -inf, 1e300, -1e300};
+    Vector s = v, t = v;
+    applyActivation(ActKind::Sigmoid, s);
+    applyActivation(ActKind::Tanh, t);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (std::isnan(v[i])) {
+            EXPECT_TRUE(std::isnan(s[i]) && std::isnan(t[i]));
+            continue;
+        }
+        EXPECT_TRUE(sameBits(s[i], sigmoid(v[i]))) << v[i];
+        EXPECT_TRUE(sameBits(t[i], tanhAct(v[i]))) << v[i];
+    }
+}
+
+TEST(Activation, TanhIsOddExactly)
+{
+    Vector pos(4099), neg(4099);
+    for (std::size_t i = 0; i < pos.size(); ++i) {
+        pos[i] = 0.01 * static_cast<Real>(i) + 1e-9;
+        neg[i] = -pos[i];
+    }
+    applyActivation(ActKind::Tanh, pos);
+    applyActivation(ActKind::Tanh, neg);
+    for (std::size_t i = 0; i < pos.size(); ++i)
+        ASSERT_TRUE(sameBits(neg[i], -pos[i])) << "i=" << i;
 }
 
 TEST(Activation, DerivativeFromOutputIdentity)

@@ -12,14 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "nn/lstm.hh"
 #include "nn/model_builder.hh"
 #include "quant/fixed_point.hh"
+#include "runtime/compiled_layers.hh"
 #include "runtime/continuous_batch.hh"
 #include "runtime/session.hh"
+#include "runtime/wire.hh"
 
 using namespace ernn;
 using namespace ernn::runtime;
@@ -379,6 +382,33 @@ TEST(RuntimeIntegerDatapath, ExactActivationsAlsoBitExact)
     InferenceSession ns = native.createSession();
     InferenceSession os = oracle.createSession();
     expectBitIdentical(ns.run(batch), os.run(batch));
+}
+
+TEST(RuntimeIntegerDatapath, ServingTablesArePinned)
+{
+    // The 12-bit sigmoid/tanh LUTs and the PWL slopes/intercepts at
+    // the serving design point (128 segments over [-8, 8]). PWL
+    // construction interpolates libm, not the float activation
+    // kernel, so these bytes — and every fixed-point reply — stay put
+    // when the float kernel changes. The digest was taken before the
+    // float activations moved off libm.
+    CompileOptions opts;
+    opts.backend = BackendKind::FixedPoint;
+    ASSERT_EQ(opts.fixedPointBits, 12);
+    ASSERT_EQ(opts.activationSegments, 128u);
+    ASSERT_EQ(opts.activationRange, 8.0);
+    const Datapath dp = runtime::detail::makeDatapath(opts);
+    ASSERT_TRUE(dp.integerDatapath);
+    std::string bytes;
+    for (const Vector *v :
+         {dp.sigmoidLut.get(), dp.tanhLut.get(),
+          &dp.sigmoidTable->slopes(), &dp.sigmoidTable->intercepts(),
+          &dp.tanhTable->slopes(), &dp.tanhTable->intercepts()})
+        bytes.append(reinterpret_cast<const char *>(v->data()),
+                     v->size() * sizeof(Real));
+    EXPECT_EQ(bytes.size(), 2u * 4096 * 8 + 4u * 128 * 8);
+    EXPECT_EQ(runtime::detail::fnv1a64(bytes.data(), bytes.size()),
+              0x18f9d421276e8aadull);
 }
 
 TEST(RuntimeIntegerDatapath, StreamingAndEdgeUtterancesMatchOracle)

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -432,6 +435,51 @@ expectBatchesIdentical(const BatchResult &a, const BatchResult &b,
 }
 
 } // namespace
+
+TEST(SimdParity, ActivationsMatchScalarBitwise)
+{
+    // The sigmoid/tanh lanes run the scalar oracle's operations in
+    // its order, so every level must give its bits — on full vectors,
+    // on the n % 4 tails, and on the special values (NaN compares as
+    // NaN, its payload is not part of the contract).
+    Rng rng(75);
+    const Real inf = std::numeric_limits<Real>::infinity();
+    const Real specials[] = {0.0,   -0.0,   inf,    -inf,
+                             1e300, -1e300, 0.625,  -0.625,
+                             20.0,  -746.0, 1e-310, std::nan("")};
+    for (const std::size_t n : {0u, 1u, 3u, 4u, 5u, 17u, 4096u}) {
+        std::vector<Real> x(n);
+        rng.fillNormal(x, 4.0);
+        for (std::size_t i = 0; i < n; i += 7)
+            x[i] = specials[(i / 7) % std::size(specials)];
+        std::vector<Real> wantS = x, wantT = x;
+        simd::sigmoidF64Scalar(wantS.data(), n);
+        simd::tanhF64Scalar(wantT.data(), n);
+        for (simd::Level level : supportedLevels()) {
+            LevelGuard guard;
+            simd::setActive(level);
+            std::vector<Real> gotS = x, gotT = x;
+            simd::sigmoidF64Fn()(gotS.data(), n);
+            simd::tanhF64Fn()(gotT.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                if (std::isnan(x[i])) {
+                    ASSERT_TRUE(std::isnan(gotS[i]) &&
+                                std::isnan(gotT[i]));
+                    continue;
+                }
+                ASSERT_EQ(std::memcmp(&gotS[i], &wantS[i],
+                                      sizeof(Real)), 0)
+                    << "sigmoid n=" << n << " i=" << i
+                    << " x=" << x[i]
+                    << " level=" << simd::levelName(level);
+                ASSERT_EQ(std::memcmp(&gotT[i], &wantT[i],
+                                      sizeof(Real)), 0)
+                    << "tanh n=" << n << " i=" << i << " x=" << x[i]
+                    << " level=" << simd::levelName(level);
+            }
+        }
+    }
+}
 
 TEST(SimdParity, SessionsBitIdenticalAcrossLevelsBackendsBatches)
 {

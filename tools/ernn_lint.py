@@ -37,6 +37,14 @@ exist in the first place):
   INC001 include-hygiene   src/ must not include tests/ or tools/
                            (the library cannot depend on its
                            consumers).
+  ACT001 libm-activation   std::tanh outside src/nn/activation.cc:
+                           the float datapaths share one activation
+                           kernel (nn::tanhAct / applyActivation), and
+                           a libm tanh beside it gives a second,
+                           differently rounded production activation
+                           (an integer LUT built on libm drifts from
+                           the float emulation it must equal). Waiver:
+                           `// lint: libm-activation(<why>)`.
 
 Scope: src/**/*.{hh,cc}. Waivers are per-line: the marker must sit on
 the offending line or the line directly above it, and must name a
@@ -64,6 +72,7 @@ WAIVER_KINDS = {
     "TS003": "thread-spawn",
     "ND001": "nondeterminism",
     "WIRE001": "reader-unchecked",
+    "ACT001": "libm-activation",
 }
 
 MUTEX_MEMBER_RE = re.compile(
@@ -94,6 +103,13 @@ BAD_INCLUDE_RE = re.compile(
 GUARD_REF_RE = re.compile(
     r"ERNN_(?:PT_)?GUARDED_BY\(\s*(\w+)|"
     r"ERNN_REQUIRES(?:_SHARED)?\(\s*([\w.>&-]+(?:\s*,\s*[\w.>&-]+)*)")
+
+LIBM_TANH_RE = re.compile(r"std::tanh\b")
+
+# The one file that may call libm tanh: its PWL tables interpolate
+# libm on purpose, so the fixed-point bits never follow the float
+# kernel.
+ACTIVATION_HOME = "src/nn/activation.cc"
 
 COMMENT_LINE_RE = re.compile(r"^\s*(?://|\*|/\*)")
 
@@ -248,6 +264,20 @@ def check_file(relpath, text):
                 relpath, i + 1, "INC001",
                 "src/ must not include tests/ or tools/ — the "
                 "library cannot depend on its consumers"))
+
+    # --- ACT001: one production activation -------------------------
+    if relpath != ACTIVATION_HOME:
+        for i, line in enumerate(lines):
+            if is_comment(line):
+                continue
+            if LIBM_TANH_RE.search(strip_strings(line)):
+                if not waived(lines, i, "ACT001", findings, relpath):
+                    findings.append(Finding(
+                        relpath, i + 1, "ACT001",
+                        "std::tanh outside src/nn/activation.cc — use "
+                        "nn::tanhAct / nn::applyActivation so every "
+                        "float datapath rounds alike, or waive with "
+                        "// lint: libm-activation(<why>)"))
 
     return findings
 
