@@ -517,12 +517,10 @@ BENCHMARK(BM_SessionThreadSweep)
 
 /**
  * Training datapath sweep on the acceptance geometry: one epoch over
- * 16 synthetic utterances, vector-at-a-time oracle vs batch-major
- * pooled lanes at several group sizes and thread counts. perf-smoke
- * reports the batch-16-over-batch-1 and 4-thread-over-1-thread
- * epoch-throughput ratios. range(0): lanes per gradient group (0 =
- * the vector oracle datapath, i.e. one lane at a time); range(1):
- * trainer threads.
+ * 16 synthetic utterances, batch-major pooled lanes at several group
+ * sizes and thread counts. perf-smoke reports the batch-16-over-
+ * batch-1 and 4-thread-over-1-thread epoch-throughput ratios.
+ * range(0): lanes per gradient group; range(1): trainer threads.
  */
 void
 BM_TrainerBatchSweep(benchmark::State &state)
@@ -554,12 +552,7 @@ BM_TrainerBatchSweep(benchmark::State &state)
     const auto lanes = static_cast<std::size_t>(state.range(0));
     const auto threads = static_cast<std::size_t>(state.range(1));
     tc.threads = threads;
-    if (lanes == 0) {
-        tc.datapath = nn::TrainConfig::Datapath::Vector;
-    } else {
-        tc.datapath = nn::TrainConfig::Datapath::Batched;
-        tc.batchLanes = lanes;
-    }
+    tc.batchLanes = lanes;
 
     nn::Trainer trainer(model, tc);
     for (auto _ : state) {
@@ -568,15 +561,13 @@ BM_TrainerBatchSweep(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(utts * frames));
-    state.SetLabel((lanes == 0 ? std::string("vector")
-                               : "lanes" + std::to_string(lanes)) +
-                   "/threads" + std::to_string(threads));
+    state.SetLabel("lanes" + std::to_string(lanes) + "/threads" +
+                   std::to_string(threads));
 }
 // UseRealTime for the same reason as the session sweep: gradient
 // groups run on pool workers.
 BENCHMARK(BM_TrainerBatchSweep)
-    ->Args({0, 1})  // vector oracle: the batch-1 baseline
-    ->Args({1, 1})  // batched machinery at 1 lane (overhead floor)
+    ->Args({1, 1})  // one lane per group: the batch-1 baseline
     ->Args({16, 1}) // one GEMM group of 16 lanes
     ->Args({4, 1})  // 4 groups of 4 lanes, serial
     ->Args({4, 4})  // 4 groups of 4 lanes, 4 threads
@@ -628,13 +619,12 @@ BENCHMARK(BM_ActivationExactVsPwl)
 
 // --- Fleet layer: artifact cold load and scheduler throughput ---
 
-/** v2 and v3 artifacts of the acceptance-geometry LSTM, written to
- *  the temp dir once per process so every cold-load iteration reads
- *  the same bytes. */
+/** An artifact of the acceptance-geometry LSTM, written to the temp
+ *  dir once per process so every cold-load iteration reads the same
+ *  bytes. */
 struct ColdLoadFixture
 {
-    std::string v2;
-    std::string v3;
+    std::string path;
 
     ColdLoadFixture()
     {
@@ -643,7 +633,7 @@ struct ColdLoadFixture
         Rng rng(18);
         model.initXavier(rng);
         // FixedPoint: the deployed int16 datapath, whose packed code
-        // blobs the v3 mapping serves in place. (The FFT backend
+        // blobs the mapping serves in place. (The FFT backend
         // copies its generators into spectra even when mapped, so it
         // cannot show the zero-copy win.)
         runtime::CompileOptions copts;
@@ -652,10 +642,8 @@ struct ColdLoadFixture
             runtime::compile(model, copts);
         const std::string dir =
             std::filesystem::temp_directory_path().string();
-        v2 = dir + "/ernn_bench_coldload_v2.ernn";
-        v3 = dir + "/ernn_bench_coldload_v3.ernn";
-        runtime::saveArtifact(compiled, v2, 2);
-        runtime::saveArtifact(compiled, v3, 3);
+        path = dir + "/ernn_bench_coldload.ernn";
+        runtime::saveArtifact(compiled, path);
     }
 };
 
@@ -667,14 +655,14 @@ coldLoadFixture()
 }
 
 /**
- * Cold load to model-ready on the 2x1024/block-64 LSTM. The
- * PR-gating number: the v3 mmap load (weights served in place from
- * the 64-byte-aligned blob section) must be >= 10x faster than the
- * v2 copy load that parses and heap-copies every weight. The
- * verified variant still streams the bytes once for per-blob
- * checksums; the trusted variant is metadata-only — microseconds to
- * first inference for a store already verified at publish time.
- * range(0): 0 v2 copy, 1 v3 mmap verified, 2 v3 mmap trusted.
+ * Cold load to model-ready on the 2x1024/block-64 LSTM, all three
+ * arms on the same file. The copy load (loadArtifactShared, the path
+ * InferenceServer uses) reads the file and heap-copies every weight;
+ * the mmap load serves weights in place from the 64-byte-aligned
+ * blob section. The verified variant still streams the bytes once
+ * for per-blob checksums; the trusted variant is metadata-only —
+ * microseconds to first inference for a store already verified at
+ * publish time. range(0): 0 copy, 1 mmap verified, 2 mmap trusted.
  */
 void
 BM_ArtifactColdLoad(benchmark::State &state)
@@ -684,24 +672,24 @@ BM_ArtifactColdLoad(benchmark::State &state)
     for (auto _ : state) {
         switch (state.range(0)) {
           case 0: {
-            auto model = runtime::loadArtifactShared(fixture.v2);
+            auto model = runtime::loadArtifactShared(fixture.path);
             benchmark::DoNotOptimize(model);
-            label = "v2-copy";
+            label = "copy";
             break;
           }
           case 1: {
-            auto model = runtime::loadArtifactMapped(fixture.v3);
+            auto model = runtime::loadArtifactMapped(fixture.path);
             benchmark::DoNotOptimize(model);
-            label = "v3-mmap-verified";
+            label = "mmap-verified";
             break;
           }
           case 2: {
             runtime::MapOptions opts;
             opts.verifyBlobs = false;
             auto model =
-                runtime::loadArtifactMapped(fixture.v3, opts);
+                runtime::loadArtifactMapped(fixture.path, opts);
             benchmark::DoNotOptimize(model);
-            label = "v3-mmap-trusted";
+            label = "mmap-trusted";
             break;
           }
         }

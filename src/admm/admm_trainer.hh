@@ -45,9 +45,9 @@ struct AdmmConfig
     std::size_t epochsPerIteration = 3;
     Real convergenceTol = 0.05;       //!< relative primal residual
     /**
-     * Subproblem-1 settings. The datapath/threads/batchLanes fields
-     * flow straight through to the inner nn::Trainer, so ADMM Phase
-     * I/II run on the batched multicore datapath by default; the
+     * Subproblem-1 settings. The threads/batchLanes fields flow
+     * straight through to the inner nn::Trainer, so ADMM Phase I/II
+     * run on the batched multicore datapath; the
      * gradient hook fires on the master registry after the fixed-
      * order group reduction, so ADMM keeps the trainer's thread-
      * count determinism. Checkpoint fields are ignored (see run()).

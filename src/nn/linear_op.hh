@@ -47,7 +47,8 @@ class LinearOp
      * Non-const because the circulant form stages per-lane spectra
      * in member workspaces. Column l of Y computes the exact bits
      * forward() computes on column l of X — the training parity
-     * contract against the vector-at-a-time oracle rests on this.
+     * contract against the vector-at-a-time oracle (in
+     * tests/test_train_batch.cc) rests on this.
      */
     virtual void forwardBatchAcc(const Matrix &x, Matrix &y) = 0;
 

@@ -18,78 +18,13 @@ using runtime::detail::fnv1a64;
 using runtime::detail::Reader;
 using runtime::detail::Writer;
 
-constexpr char kMagic[8] = {'E', 'R', 'N', 'N', 'T', 'R', 'S', 'T'};
-constexpr std::uint32_t kFormatVersion = 1;
-
-// magic + version + total bytes; the trailing checksum is 8 more.
-constexpr std::size_t kHeaderBytes =
-    sizeof kMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
+constexpr runtime::detail::FrameFormat kFormat{"ERNNTRST", 1,
+                                              "training checkpoint"};
 
 const char *
 optKindName(TrainConfig::Opt opt)
 {
     return opt == TrainConfig::Opt::Sgd ? "sgd" : "adam";
-}
-
-const char *
-datapathName(TrainConfig::Datapath dp)
-{
-    return dp == TrainConfig::Datapath::Batched ? "batched" : "vector";
-}
-
-/**
- * Validate @p blob's framing and checksum and return a Reader
- * positioned past the header. Mirrors the stream checkpoint's
- * validation order (magic, version, declared size, checksum) so the
- * two formats fail the same way for the same class of damage.
- */
-Reader
-openTrainCheckpoint(const std::string &blob)
-{
-    const char *data = blob.data();
-    const std::size_t size = blob.size();
-    if (size < kHeaderBytes + kChecksumBytes)
-        ernn_fatal("truncated training checkpoint: " << size
-                   << " bytes is smaller than the "
-                   << kHeaderBytes + kChecksumBytes
-                   << "-byte header");
-    if (std::memcmp(data, kMagic, sizeof kMagic) != 0)
-        ernn_fatal("not a training checkpoint (bad magic)");
-
-    std::uint32_t version;
-    std::memcpy(&version, data + sizeof kMagic, sizeof version);
-    if (version != kFormatVersion)
-        ernn_fatal("training checkpoint format version " << version
-                   << " is not supported by this build (reads "
-                   << kFormatVersion << ")");
-
-    std::uint64_t declared;
-    std::memcpy(&declared, data + sizeof kMagic + sizeof version,
-                sizeof declared);
-    if (declared != size) {
-        if (size < declared)
-            ernn_fatal("truncated training checkpoint: header declares "
-                       << declared << " bytes, file has " << size);
-        ernn_fatal("training checkpoint has " << size - declared
-                   << " trailing bytes past the declared " << declared
-                   << "-byte payload");
-    }
-
-    std::uint64_t stored;
-    std::memcpy(&stored, data + size - kChecksumBytes, sizeof stored);
-    const std::uint64_t actual = fnv1a64(data, size - kChecksumBytes);
-    if (stored != actual)
-        ernn_fatal("training checkpoint checksum mismatch (stored 0x"
-                   << std::hex << stored << ", computed 0x" << actual
-                   << std::dec << "): the file is corrupted");
-
-    Reader r(data, size - kChecksumBytes, "training checkpoint");
-    for (std::size_t i = 0; i < sizeof kMagic; ++i)
-        r.u8("magic");
-    r.u32("format version");
-    r.u64("declared size");
-    return r;
 }
 
 } // namespace
@@ -107,7 +42,10 @@ trainingFingerprint(const ParamRegistry &reg, const TrainConfig &cfg)
        << ";batch=" << cfg.batchSize
        << ";lanes=" << cfg.groupLanes()
        << ";seed=" << cfg.shuffleSeed
-       << ";datapath=" << datapathName(cfg.datapath)
+       // The trainer once had a second (vector-at-a-time)
+       // datapath; the literal keeps fingerprints — and with them
+       // every train.state written before its removal — unchanged.
+       << ";datapath=batched"
        << ";clip=" << std::setprecision(17) << cfg.clipNorm;
     const std::string bytes = os.str();
     return fnv1a64(bytes.data(), bytes.size());
@@ -118,11 +56,7 @@ saveTrainState(const std::string &path, const TrainState &state,
                const ParamRegistry &reg, std::uint64_t fingerprint)
 {
     Writer w;
-    for (char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kFormatVersion);
-    const std::size_t totalPatch = w.tell();
-    w.u64(0); // total bytes, patched below
+    runtime::detail::beginFrame(w, kFormat);
     w.u64(fingerprint);
 
     w.u64(state.nextEpoch);
@@ -152,12 +86,7 @@ saveTrainState(const std::string &path, const TrainState &state,
         w.reals(std::vector<Real>(v.data, v.data + v.size));
     }
 
-    w.patchU64(totalPatch, w.tell() + kChecksumBytes);
-    // The checksum covers every preceding byte, total-bytes included.
-    std::string blob = w.take();
-    const std::uint64_t checksum = fnv1a64(blob.data(), blob.size());
-    blob.append(reinterpret_cast<const char *>(&checksum),
-                sizeof checksum);
+    const std::string blob = runtime::detail::sealFrame(w);
 
     // Write-then-rename so a crash mid-save never clobbers the last
     // good checkpoint with a torn file.
@@ -185,7 +114,7 @@ loadTrainState(const std::string &path, TrainState &state,
     buf << in.rdbuf();
     const std::string blob = buf.str();
 
-    Reader r = openTrainCheckpoint(blob);
+    Reader r = runtime::detail::openFrame(blob, kFormat);
 
     const std::uint64_t stored = r.u64("training fingerprint");
     if (stored != fingerprint)

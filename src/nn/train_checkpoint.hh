@@ -53,7 +53,7 @@ struct TrainState
  * Fingerprint of everything a checkpoint's bit-identical continuation
  * depends on: the registry layout (view names and sizes) and the
  * arithmetic-relevant training config (optimizer kind, batch size,
- * group lanes, shuffle seed, datapath, clip norm). The learning rate
+ * group lanes, shuffle seed, clip norm). The learning rate
  * and the thread count are excluded on purpose: threads never change
  * the arithmetic (groups reduce in fixed index order), and the
  * learning rate is an operator knob that may legitimately change

@@ -220,67 +220,47 @@ Trainer::train(const SequenceDataset &data)
                 std::min(cfg_.batchSize, data.size() - start);
             const Real inv_batch = 1.0 / static_cast<Real>(b);
 
-            if (cfg_.datapath == TrainConfig::Datapath::Vector) {
-                // The retained vector-at-a-time oracle.
-                for (std::size_t i = 0; i < b; ++i) {
-                    const SequenceExample &ex =
-                        data[order[start + i]];
-                    const Sequence logits =
-                        model_.forwardLogits(ex.frames);
-                    LossResult loss =
-                        softmaxCrossEntropy(logits, ex.labels);
-                    for (Vector &dl : loss.dlogits)
-                        scaleInPlace(dl, inv_batch);
-                    model_.backwardFromLogits(loss.dlogits);
-                    epoch_loss += loss.loss;
-                    epoch_frames += loss.frames;
-                }
+            const std::size_t num_groups = (b + gl - 1) / gl;
+            if (num_groups == 1) {
+                const GroupStats s = runGroup(
+                    model_, data, order.data() + start, b, inv_batch);
+                epoch_loss += s.loss;
+                epoch_frames += s.frames;
             } else {
-                const std::size_t num_groups = (b + gl - 1) / gl;
-                if (num_groups == 1) {
-                    const GroupStats s =
-                        runGroup(model_, data, order.data() + start,
-                                 b, inv_batch);
-                    epoch_loss += s.loss;
-                    epoch_frames += s.frames;
-                } else {
-                    ensureReplicas(num_groups - 1);
-                    for (std::size_t g = 1; g < num_groups; ++g) {
-                        replicas_[g - 1].copyParamsFrom(model_);
-                        replicas_[g - 1].params().zeroGrad();
+                ensureReplicas(num_groups - 1);
+                for (std::size_t g = 1; g < num_groups; ++g) {
+                    replicas_[g - 1].copyParamsFrom(model_);
+                    replicas_[g - 1].params().zeroGrad();
+                }
+                std::vector<GroupStats> stats(num_groups);
+                auto task = [&](std::size_t gb, std::size_t ge) {
+                    for (std::size_t g = gb; g < ge; ++g) {
+                        StackedRnn &m =
+                            g == 0 ? model_ : replicas_[g - 1];
+                        const std::size_t off = g * gl;
+                        stats[g] = runGroup(
+                            m, data, order.data() + start + off,
+                            std::min(gl, b - off), inv_batch);
                     }
-                    std::vector<GroupStats> stats(num_groups);
-                    auto task = [&](std::size_t gb, std::size_t ge) {
-                        for (std::size_t g = gb; g < ge; ++g) {
-                            StackedRnn &m =
-                                g == 0 ? model_ : replicas_[g - 1];
-                            const std::size_t off = g * gl;
-                            stats[g] = runGroup(
-                                m, data, order.data() + start + off,
-                                std::min(gl, b - off), inv_batch);
-                        }
-                    };
-                    pool_.parallelFor(num_groups, task);
-                    // Reduce replica gradients into the master in
-                    // ascending group order — fixed regardless of
-                    // which thread ran which group, so the final
-                    // weights are thread-count invariant.
-                    for (std::size_t g = 1; g < num_groups; ++g) {
-                        ParamRegistry &rep =
-                            replicas_[g - 1].params();
-                        for (std::size_t i = 0;
-                             i < reg.views().size(); ++i) {
-                            ParamView &dst = reg.views()[i];
-                            const ParamView &src = rep.views()[i];
-                            for (std::size_t k = 0; k < dst.size;
-                                 ++k)
-                                dst.grad[k] += src.grad[k];
-                        }
+                };
+                pool_.parallelFor(num_groups, task);
+                // Reduce replica gradients into the master in
+                // ascending group order — fixed regardless of which
+                // thread ran which group, so the final weights are
+                // thread-count invariant.
+                for (std::size_t g = 1; g < num_groups; ++g) {
+                    ParamRegistry &rep = replicas_[g - 1].params();
+                    for (std::size_t i = 0; i < reg.views().size();
+                         ++i) {
+                        ParamView &dst = reg.views()[i];
+                        const ParamView &src = rep.views()[i];
+                        for (std::size_t k = 0; k < dst.size; ++k)
+                            dst.grad[k] += src.grad[k];
                     }
-                    for (std::size_t g = 0; g < num_groups; ++g) {
-                        epoch_loss += stats[g].loss;
-                        epoch_frames += stats[g].frames;
-                    }
+                }
+                for (std::size_t g = 0; g < num_groups; ++g) {
+                    epoch_loss += stats[g].loss;
+                    epoch_frames += stats[g].frames;
                 }
             }
 

@@ -6,13 +6,13 @@
  * regularizer of Eqn. 5 is injected between backward and the
  * optimizer step).
  *
- * Two datapaths share the loop. The batch-major path pools utterance
- * lanes longest-first and runs one GEMM-shaped call per weight per
- * timestep (mirroring the serving runtime's lane pooling), splitting
- * each optimizer batch into fixed gradient groups that backprop on
- * private model replicas and reduce in group-index order — so a
- * given seed produces byte-identical weights at any thread count.
- * The vector-at-a-time path is retained as the parity oracle.
+ * The loop is batch-major: it pools utterance lanes longest-first
+ * and runs one GEMM-shaped call per weight per timestep (mirroring
+ * the serving runtime's lane pooling), splitting each optimizer batch
+ * into fixed gradient groups that backprop on private model replicas
+ * and reduce in group-index order — so a given seed produces
+ * byte-identical weights at any thread count. The vector-at-a-time
+ * parity oracle lives in tests/test_train_batch.cc.
  */
 
 #ifndef ERNN_NN_TRAINER_HH
@@ -50,14 +50,6 @@ struct TrainConfig
     enum class Opt { Sgd, Adam };
     Opt optimizer = Opt::Adam;
     bool verbose = false;
-
-    /** Which datapath runs forward/backward. */
-    enum class Datapath
-    {
-        Batched, //!< batch-major pooled lanes, GEMM-shaped (default)
-        Vector,  //!< one utterance per pass — the parity oracle
-    };
-    Datapath datapath = Datapath::Batched;
 
     /** Execution lanes for gradient groups + parallel evaluation. */
     std::size_t threads = 1;

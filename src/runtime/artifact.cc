@@ -75,13 +75,10 @@ struct ArtifactAccess
 namespace
 {
 
-constexpr char kMagic[8] = {'E', 'R', 'N', 'N', 'A', 'R', 'T', 'F'};
-
 // Concrete kernel encodings. The tag pins the exact class that will
 // be rehydrated, so a loaded model runs the same datapath code. The
-// *Q16 tags (v2) carry int16 grid codes instead of f64 weights; the
-// f64 tags remain the encoding for fixed-point widths above 16 bits
-// and for every kernel of a v1 file.
+// *Q16 tags carry packed int16 grid codes; the f64 tags carry f64
+// weights — for fixed point, the grid values of widths above 16 bits.
 enum KernelTag : std::uint8_t
 {
     kDense = 0,
@@ -98,13 +95,24 @@ enum LayerTag : std::uint8_t
     kGru = 1,
 };
 
-// Byte-level helpers (fnv1a64, Writer, Reader) are shared with the
-// stream checkpoint encoder — see runtime/wire.hh.
+// Byte-level helpers (fnv1a64, Writer, Reader, the frame header) are
+// shared with the checkpoint encoders — see runtime/wire.hh.
 using detail::fnv1a64;
+using detail::kChecksumBytes;
+using detail::kFrameHeaderBytes;
 using detail::Reader;
 using detail::Writer;
 
-/** Next multiple of the v3 blob alignment at or past @p off. */
+constexpr detail::FrameFormat kFormat{
+    "ERNNARTF", kArtifactFormatVersion, "artifact",
+    ": re-create the artifact from its training checkpoint with "
+    "`ernn compile --spec SPEC --checkpoint CKPT --out FILE`"};
+
+/** Frame header plus the u64 metaEnd field. */
+constexpr std::size_t kHeaderBytes =
+    kFrameHeaderBytes + sizeof(std::uint64_t);
+
+/** Next multiple of the blob alignment at or past @p off. */
 constexpr std::size_t
 align64(std::size_t off)
 {
@@ -112,13 +120,13 @@ align64(std::size_t off)
 }
 
 /**
- * v3 writer side: kernels register their weight payloads here and
- * write a placeholder descriptor into the metadata stream; once the
- * metadata is complete the blob section is laid out, every
- * descriptor is patched (offset, byte count, FNV-1a of the blob),
- * and the blobs are appended 64-byte aligned.
+ * Writer side of the blob section: kernels register their weight
+ * payloads here and write a placeholder descriptor into the metadata
+ * stream; once the metadata is complete the blob section is laid
+ * out, every descriptor is patched (offset, byte count, FNV-1a of the
+ * blob), and the blobs are appended 64-byte aligned.
  */
-class V3BlobTable
+class BlobTable
 {
   public:
     struct Entry
@@ -172,196 +180,48 @@ readFormat(Reader &r)
 }
 
 void
-writeDense(Writer &w, const Matrix &m)
-{
-    w.size(m.rows());
-    w.size(m.cols());
-    w.reals(m.raw());
-}
-
-/**
- * Dimension sanity bound: far beyond any RNN weight matrix, small
- * enough that products of checked dimensions cannot overflow and
- * that a crafted (checksum-valid) payload cannot trigger a giant
- * allocation — it dies with a named fatal instead of bad_alloc.
- */
-constexpr std::size_t kMaxDim = std::size_t{1} << 24;
-
-void
-checkGeometry(const Reader &r, std::size_t params,
-              std::size_t rows, std::size_t cols, const char *what,
-              std::size_t elem_bytes = sizeof(Real))
-{
-    if (rows == 0 || cols == 0 || rows > kMaxDim || cols > kMaxDim)
-        ernn_fatal("artifact payload: implausible " << what
-                   << " geometry " << rows << "x" << cols);
-    if (params > r.remainingBytes() / elem_bytes)
-        ernn_fatal("artifact payload: " << what << " (" << rows
-                   << "x" << cols << ") needs " << params
-                   << " weights but only " << r.remainingBytes()
-                   << " payload bytes remain");
-}
-
-Matrix
-readDense(Reader &r)
-{
-    const std::size_t rows = r.size("dense kernel rows");
-    const std::size_t cols = r.size("dense kernel cols");
-    checkGeometry(r, rows * cols, rows, cols, "dense kernel");
-    Matrix m(rows, cols);
-    std::vector<Real> vals;
-    r.realsInto(vals, "dense kernel weights");
-    ernn_assert(vals.size() == rows * cols,
-                "artifact payload: dense kernel is " << rows << "x"
-                << cols << " but carries " << vals.size()
-                << " weights");
-    m.raw() = std::move(vals);
-    return m;
-}
-
-void
-writeCirculant(Writer &w, const circulant::BlockCirculantMatrix &m)
-{
-    w.size(m.rows());
-    w.size(m.cols());
-    w.size(m.blockSize());
-    w.reals(m.raw());
-}
-
-circulant::BlockCirculantMatrix
-readCirculant(Reader &r)
-{
-    const std::size_t rows = r.size("circulant kernel rows");
-    const std::size_t cols = r.size("circulant kernel cols");
-    const std::size_t block = r.size("circulant kernel block size");
-    if (block == 0 || rows % block != 0 || cols % block != 0)
-        ernn_fatal("artifact payload: circulant kernel " << rows
-                   << "x" << cols << " not divisible by block "
-                   << block);
-    checkGeometry(r, rows / block * cols, rows, cols,
-                  "circulant kernel");
-    circulant::BlockCirculantMatrix m(rows, cols, block);
-    std::vector<Real> gens;
-    r.realsInto(gens, "circulant kernel generators");
-    ernn_assert(gens.size() == m.paramCount(),
-                "artifact payload: circulant kernel expects "
-                << m.paramCount() << " generators, file carries "
-                << gens.size());
-    m.raw() = std::move(gens);
-    m.invalidateSpectra();
-    return m;
-}
-
-/**
- * Storage-order int16 codes of a packed kernel's weights (dense
- * entries or circulant generators). integerPacked() guarantees the
- * f64 values are on-grid and in-range, so toQ is exact — and the
- * serializer stays independent of the kernel's internal compute
- * layout (doubled generators).
- */
-std::vector<std::int16_t>
-weightCodes(const FixedPointKernel &f)
-{
-    const std::vector<Real> &vals = f.quantizedWeights();
-    const quant::FixedPointFormat &fmt = f.weightFormat();
-    std::vector<std::int16_t> codes(vals.size());
-    for (std::size_t i = 0; i < vals.size(); ++i)
-        codes[i] = static_cast<std::int16_t>(fmt.toQ(vals[i]));
-    return codes;
-}
-
-void
-writeKernel(Writer &w, const LinearKernel &kernel,
-            std::uint32_t version, V3BlobTable *blobs)
+writeKernel(Writer &w, const LinearKernel &kernel, BlobTable &blobs)
 {
     if (const auto *d = dynamic_cast<const DenseKernel *>(&kernel)) {
         w.u8(kDense);
-        if (blobs) {
-            w.size(d->outDim());
-            w.size(d->inDim());
-            blobs->add(w, d->weightData(),
-                       d->outDim() * d->inDim() * sizeof(Real));
-        } else {
-            writeDense(w, d->weight());
-        }
+        w.size(d->outDim());
+        w.size(d->inDim());
+        blobs.add(w, d->weightData(),
+                  d->outDim() * d->inDim() * sizeof(Real));
         return;
     }
     if (const auto *c =
             dynamic_cast<const CirculantFftKernel *>(&kernel)) {
+        const circulant::BlockCirculantMatrix &m = c->weight();
         w.u8(kCirculantFft);
-        if (blobs) {
-            const circulant::BlockCirculantMatrix &m = c->weight();
-            w.size(m.rows());
-            w.size(m.cols());
-            w.size(m.blockSize());
-            blobs->add(w, m.raw().data(),
-                       m.raw().size() * sizeof(Real));
-        } else {
-            writeCirculant(w, c->weight());
-        }
+        w.size(m.rows());
+        w.size(m.cols());
+        w.size(m.blockSize());
+        blobs.add(w, m.raw().data(), m.raw().size() * sizeof(Real));
         return;
     }
     if (const auto *f =
             dynamic_cast<const FixedPointKernel *>(&kernel)) {
-        // v2+ stores int16 grid codes when the kernel is packed (width
-        // <= 16); v1 — and unpacked widths — store the f64 grid values.
-        const bool q16 = version >= 2 && f->integerPacked();
-        if (f->isCirculant()) {
+        // Packed kernels (width <= 16) store their int16 codes in
+        // *compute layout* — circulant generators doubled — so a
+        // mapped kernel serves the blob in place without repacking;
+        // wider formats store the f64 grid values.
+        const bool q16 = f->integerPacked();
+        if (f->isCirculant())
             w.u8(q16 ? kFixedPointCirculantQ16 : kFixedPointCirculant);
-            writeFormat(w, f->weightFormat());
-            if (blobs) {
-                w.size(f->outDim());
-                w.size(f->inDim());
-                w.size(f->circulantBlockSize());
-                if (q16) {
-                    // v3 stores the *compute layout* (doubled
-                    // generators) so a mapped kernel serves the blob
-                    // in place without repacking.
-                    blobs->add(w, f->packedCodes(),
-                               f->packedCodeCount() *
-                                   sizeof(std::int16_t));
-                } else {
-                    const std::vector<Real> &gens =
-                        f->quantizedWeights();
-                    blobs->add(w, gens.data(),
-                               gens.size() * sizeof(Real));
-                }
-            } else if (q16) {
-                const circulant::BlockCirculantMatrix &m =
-                    f->circulantWeight();
-                w.size(m.rows());
-                w.size(m.cols());
-                w.size(m.blockSize());
-                const auto codes = weightCodes(*f);
-                w.codes(codes.data(), codes.size());
-            } else {
-                writeCirculant(w, f->circulantWeight());
-            }
-        } else {
+        else
             w.u8(q16 ? kFixedPointDenseQ16 : kFixedPointDense);
-            writeFormat(w, f->weightFormat());
-            if (blobs) {
-                w.size(f->outDim());
-                w.size(f->inDim());
-                if (q16) {
-                    blobs->add(w, f->packedCodes(),
-                               f->packedCodeCount() *
-                                   sizeof(std::int16_t));
-                } else {
-                    const std::vector<Real> &vals =
-                        f->quantizedWeights();
-                    blobs->add(w, vals.data(),
-                               vals.size() * sizeof(Real));
-                }
-            } else if (q16) {
-                const Matrix &m = f->denseWeight();
-                w.size(m.rows());
-                w.size(m.cols());
-                const auto codes = weightCodes(*f);
-                w.codes(codes.data(), codes.size());
-            } else {
-                writeDense(w, f->denseWeight());
-            }
+        writeFormat(w, f->weightFormat());
+        w.size(f->outDim());
+        w.size(f->inDim());
+        if (f->isCirculant())
+            w.size(f->circulantBlockSize());
+        if (q16) {
+            blobs.add(w, f->packedCodes(),
+                      f->packedCodeCount() * sizeof(std::int16_t));
+        } else {
+            const std::vector<Real> &vals = f->quantizedWeights();
+            blobs.add(w, vals.data(), vals.size() * sizeof(Real));
         }
         return;
     }
@@ -372,79 +232,15 @@ writeKernel(Writer &w, const LinearKernel &kernel,
 }
 
 /**
- * Decode int16 grid codes into their exact f64 grid values. The
- * FixedPointKernel constructor will re-verify these while packing
- * its compute layout; that second (cold-path) pass is deliberate —
- * packWeights() is the one authoritative gate on the on-grid
- * invariant, and it must hold for every construction route (compile,
- * v1 f64 payloads, these codes), not just this one.
+ * Reader side of the blob section: resolves blob descriptors against
+ * the file bytes. Every fetch validates the descriptor (byte count
+ * against the metadata geometry, 64-byte alignment, file bounds, and
+ * — unless verification is off — the blob's FNV-1a checksum), then
+ * returns a pointer into the file. In zero-copy mode the caller hands
+ * that pointer straight to a borrowing kernel; in copy mode it
+ * memcpys.
  */
-void
-decodeCodes(Reader &r, const quant::FixedPointFormat &fmt,
-            std::vector<Real> &out, std::size_t expected,
-            const char *what)
-{
-    if (fmt.totalBits > 16)
-        ernn_fatal("artifact payload: " << what << " stores int16 "
-                   "codes for a " << fmt.totalBits << "-bit format");
-    std::vector<std::int16_t> codes;
-    r.codesInto(codes, what);
-    ernn_assert(codes.size() == expected,
-                "artifact payload: " << what << " expects " << expected
-                << " codes, file carries " << codes.size());
-    const std::int64_t lo = fmt.minQ(), hi = fmt.maxQ();
-    out.resize(codes.size());
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-        const std::int64_t q = codes[i];
-        if (q < lo || q > hi)
-            ernn_fatal("artifact payload: " << what << " code " << q
-                       << " outside [" << lo << ", " << hi << "] of "
-                       << fmt.name());
-        out[i] = fmt.fromQ(q);
-    }
-}
-
-Matrix
-readDenseQ16(Reader &r, const quant::FixedPointFormat &fmt)
-{
-    const std::size_t rows = r.size("dense kernel rows");
-    const std::size_t cols = r.size("dense kernel cols");
-    checkGeometry(r, rows * cols, rows, cols, "dense kernel",
-                  sizeof(std::int16_t));
-    Matrix m(rows, cols);
-    decodeCodes(r, fmt, m.raw(), rows * cols,
-                "dense kernel weight codes");
-    return m;
-}
-
-circulant::BlockCirculantMatrix
-readCirculantQ16(Reader &r, const quant::FixedPointFormat &fmt)
-{
-    const std::size_t rows = r.size("circulant kernel rows");
-    const std::size_t cols = r.size("circulant kernel cols");
-    const std::size_t block = r.size("circulant kernel block size");
-    if (block == 0 || rows % block != 0 || cols % block != 0)
-        ernn_fatal("artifact payload: circulant kernel " << rows
-                   << "x" << cols << " not divisible by block "
-                   << block);
-    checkGeometry(r, rows / block * cols, rows, cols,
-                  "circulant kernel", sizeof(std::int16_t));
-    circulant::BlockCirculantMatrix m(rows, cols, block);
-    decodeCodes(r, fmt, m.raw(), m.paramCount(),
-                "circulant kernel generator codes");
-    m.invalidateSpectra();
-    return m;
-}
-
-/**
- * v3 reader side: resolves blob descriptors against the file bytes.
- * Every fetch validates the descriptor (byte count against the
- * metadata geometry, 64-byte alignment, file bounds, and — unless
- * verification is off — the blob's FNV-1a checksum), then returns a
- * pointer into the file. In zero-copy mode the caller hands that
- * pointer straight to a borrowing kernel; in copy mode it memcpys.
- */
-struct V3Resolver
+struct BlobResolver
 {
     const char *base = nullptr;
     std::size_t fileSize = 0;
@@ -474,9 +270,8 @@ struct V3Resolver
                        "needs " << expect_bytes);
         if (off % kArtifactBlobAlign != 0)
             ernn_fatal("artifact blob: " << what << " at offset "
-                       << off << " is misaligned (every v3 blob "
-                       "starts " << kArtifactBlobAlign
-                       << "-byte aligned)");
+                       << off << " is misaligned (every blob starts "
+                       << kArtifactBlobAlign << "-byte aligned)");
         if (off < blobStart || off > fileSize ||
             len > fileSize - off)
             ernn_fatal("artifact blob: " << what << " at [" << off
@@ -498,6 +293,83 @@ struct V3Resolver
     }
 };
 
+/**
+ * Dimension sanity bound: far beyond any RNN weight matrix, small
+ * enough that products of checked dimensions cannot overflow and
+ * that a crafted (checksum-valid) payload cannot trigger a giant
+ * allocation — it dies with a named fatal instead of bad_alloc.
+ */
+constexpr std::size_t kMaxDim = std::size_t{1} << 24;
+
+/** A kernel's geometry; block is 0 for a dense kernel. */
+struct KernelDims
+{
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::size_t block = 0;
+};
+
+/** Read and bound a kernel's geometry before any size arithmetic. */
+KernelDims
+readDims(Reader &r, bool circulant)
+{
+    const char *what = circulant ? "circulant kernel" : "dense kernel";
+    KernelDims d;
+    d.rows = r.size(circulant ? "circulant kernel rows"
+                              : "dense kernel rows");
+    d.cols = r.size(circulant ? "circulant kernel cols"
+                              : "dense kernel cols");
+    if (circulant)
+        d.block = r.size("circulant kernel block size");
+    if (d.rows == 0 || d.cols == 0 || d.rows > kMaxDim ||
+        d.cols > kMaxDim)
+        ernn_fatal("artifact payload: implausible " << what
+                   << " geometry " << d.rows << "x" << d.cols);
+    if (circulant && (d.block == 0 || d.rows % d.block != 0 ||
+                      d.cols % d.block != 0))
+        ernn_fatal("artifact payload: circulant kernel " << d.rows
+                   << "x" << d.cols << " not divisible by block "
+                   << d.block);
+    return d;
+}
+
+/** Copy a blob of row-major f64 weights into a Matrix. */
+Matrix
+copyDense(Reader &r, BlobResolver &blobs, const KernelDims &d,
+          const char *what)
+{
+    const std::size_t n = d.rows * d.cols;
+    const char *p = blobs.fetch(r, n * sizeof(Real), what, false);
+    Matrix m(d.rows, d.cols);
+    std::memcpy(m.data(), p, n * sizeof(Real));
+    return m;
+}
+
+/** Copy a blob of f64 circulant generators. Spectra are re-derived
+ *  by the kernel, so they are never stored. */
+circulant::BlockCirculantMatrix
+copyCirculant(Reader &r, BlobResolver &blobs, const KernelDims &d,
+              const char *what)
+{
+    const std::size_t gens = d.rows / d.block * d.cols;
+    const char *p = blobs.fetch(r, gens * sizeof(Real), what, false);
+    circulant::BlockCirculantMatrix m(d.rows, d.cols, d.block);
+    std::memcpy(m.raw().data(), p, gens * sizeof(Real));
+    m.invalidateSpectra();
+    return m;
+}
+
+/** The weight format of a Q16 kernel, which must fit int16 codes. */
+quant::FixedPointFormat
+readQ16Format(Reader &r, const char *what)
+{
+    const quant::FixedPointFormat fmt = readFormat(r);
+    if (fmt.totalBits > 16)
+        ernn_fatal("artifact payload: " << what << " stores int16 "
+                   "codes for a " << fmt.totalBits << "-bit format");
+    return fmt;
+}
+
 /** Die if any code lies outside the format's representable range. */
 void
 checkCodeRange(const std::int16_t *codes, std::size_t n,
@@ -511,132 +383,78 @@ checkCodeRange(const std::int16_t *codes, std::size_t n,
                        << hi << "] of " << fmt.name());
 }
 
-void
-checkDims(std::size_t rows, std::size_t cols, const char *what)
-{
-    if (rows == 0 || cols == 0 || rows > kMaxDim || cols > kMaxDim)
-        ernn_fatal("artifact payload: implausible " << what
-                   << " geometry " << rows << "x" << cols);
-}
-
 std::unique_ptr<LinearKernel>
-readKernelV3(Reader &r, V3Resolver &v3)
+readKernel(Reader &r, BlobResolver &blobs)
 {
     const std::uint8_t tag = r.u8("kernel tag");
     switch (tag) {
       case kDense: {
-        const std::size_t rows = r.size("dense kernel rows");
-        const std::size_t cols = r.size("dense kernel cols");
-        checkDims(rows, cols, "dense kernel");
-        const char *p = v3.fetch(r, rows * cols * sizeof(Real),
-                                 "dense f64 weights", true);
-        if (v3.zeroCopy)
+        const KernelDims d = readDims(r, false);
+        if (!blobs.zeroCopy)
             return std::make_unique<DenseKernel>(
-                reinterpret_cast<const Real *>(p), rows, cols);
-        Matrix m(rows, cols);
-        std::memcpy(m.data(), p, rows * cols * sizeof(Real));
-        return std::make_unique<DenseKernel>(std::move(m));
+                copyDense(r, blobs, d, "dense f64 weights"));
+        const char *p = blobs.fetch(r, d.rows * d.cols * sizeof(Real),
+                                    "dense f64 weights", true);
+        return std::make_unique<DenseKernel>(
+            reinterpret_cast<const Real *>(p), d.rows, d.cols);
       }
       case kCirculantFft: {
-        const std::size_t rows = r.size("circulant kernel rows");
-        const std::size_t cols = r.size("circulant kernel cols");
-        const std::size_t block =
-            r.size("circulant kernel block size");
-        checkDims(rows, cols, "circulant kernel");
-        if (block == 0 || rows % block != 0 || cols % block != 0)
-            ernn_fatal("artifact payload: circulant kernel " << rows
-                       << "x" << cols << " not divisible by block "
-                       << block);
-        const std::size_t gens = rows / block * cols;
         // Generator spectra must be re-derived on load regardless,
         // so the FFT backend copies its generators even when mapped.
-        const char *p = v3.fetch(r, gens * sizeof(Real),
-                                 "circulant f64 generators", false);
-        circulant::BlockCirculantMatrix m(rows, cols, block);
-        std::memcpy(m.raw().data(), p, gens * sizeof(Real));
-        m.invalidateSpectra();
-        return std::make_unique<CirculantFftKernel>(std::move(m));
+        const KernelDims d = readDims(r, true);
+        return std::make_unique<CirculantFftKernel>(
+            copyCirculant(r, blobs, d, "circulant f64 generators"));
       }
       case kFixedPointDense: {
         const quant::FixedPointFormat fmt = readFormat(r);
-        const std::size_t rows = r.size("dense kernel rows");
-        const std::size_t cols = r.size("dense kernel cols");
-        checkDims(rows, cols, "dense kernel");
-        const char *p =
-            v3.fetch(r, rows * cols * sizeof(Real),
-                     "fixed-point f64 weights (unpacked)", false);
-        Matrix m(rows, cols);
-        std::memcpy(m.data(), p, rows * cols * sizeof(Real));
-        return std::make_unique<FixedPointKernel>(std::move(m), fmt);
+        const KernelDims d = readDims(r, false);
+        return std::make_unique<FixedPointKernel>(
+            copyDense(r, blobs, d,
+                      "fixed-point f64 weights (unpacked)"),
+            fmt);
       }
       case kFixedPointCirculant: {
         const quant::FixedPointFormat fmt = readFormat(r);
-        const std::size_t rows = r.size("circulant kernel rows");
-        const std::size_t cols = r.size("circulant kernel cols");
-        const std::size_t block =
-            r.size("circulant kernel block size");
-        checkDims(rows, cols, "circulant kernel");
-        if (block == 0 || rows % block != 0 || cols % block != 0)
-            ernn_fatal("artifact payload: circulant kernel " << rows
-                       << "x" << cols << " not divisible by block "
-                       << block);
-        const std::size_t gens = rows / block * cols;
-        const char *p =
-            v3.fetch(r, gens * sizeof(Real),
-                     "fixed-point f64 generators (unpacked)", false);
-        circulant::BlockCirculantMatrix m(rows, cols, block);
-        std::memcpy(m.raw().data(), p, gens * sizeof(Real));
-        m.invalidateSpectra();
-        return std::make_unique<FixedPointKernel>(std::move(m), fmt);
+        const KernelDims d = readDims(r, true);
+        return std::make_unique<FixedPointKernel>(
+            copyCirculant(r, blobs, d,
+                          "fixed-point f64 generators (unpacked)"),
+            fmt);
       }
       case kFixedPointDenseQ16: {
-        const quant::FixedPointFormat fmt = readFormat(r);
-        if (fmt.totalBits > 16)
-            ernn_fatal("artifact payload: dense kernel stores int16 "
-                       "codes for a " << fmt.totalBits
-                       << "-bit format");
-        const std::size_t rows = r.size("dense kernel rows");
-        const std::size_t cols = r.size("dense kernel cols");
-        checkDims(rows, cols, "dense kernel");
-        const std::size_t n = rows * cols;
-        const char *p = v3.fetch(r, n * sizeof(std::int16_t),
-                                 "dense int16 weight codes", true);
+        const quant::FixedPointFormat fmt =
+            readQ16Format(r, "dense kernel");
+        const KernelDims d = readDims(r, false);
+        const std::size_t n = d.rows * d.cols;
+        const char *p = blobs.fetch(r, n * sizeof(std::int16_t),
+                                    "dense int16 weight codes", true);
         const auto *codes = reinterpret_cast<const std::int16_t *>(p);
-        if (v3.verify || !v3.zeroCopy)
+        if (blobs.verify || !blobs.zeroCopy)
             checkCodeRange(codes, n, fmt,
                            "dense int16 weight codes");
-        if (v3.zeroCopy)
+        if (blobs.zeroCopy)
             return std::make_unique<FixedPointKernel>(
-                FixedPointKernel::Borrowed{}, codes, rows, cols, fmt);
+                FixedPointKernel::Borrowed{}, codes, d.rows, d.cols,
+                fmt);
         // Copy load: decode onto the grid; the rehydrating
         // constructor re-verifies while packing its compute layout.
-        Matrix m(rows, cols);
+        Matrix m(d.rows, d.cols);
         for (std::size_t i = 0; i < n; ++i)
             m.data()[i] = fmt.fromQ(codes[i]);
         return std::make_unique<FixedPointKernel>(std::move(m), fmt);
       }
       case kFixedPointCirculantQ16: {
-        const quant::FixedPointFormat fmt = readFormat(r);
-        if (fmt.totalBits > 16)
-            ernn_fatal("artifact payload: circulant kernel stores "
-                       "int16 codes for a " << fmt.totalBits
-                       << "-bit format");
-        const std::size_t rows = r.size("circulant kernel rows");
-        const std::size_t cols = r.size("circulant kernel cols");
-        const std::size_t block =
-            r.size("circulant kernel block size");
-        checkDims(rows, cols, "circulant kernel");
-        if (block == 0 || rows % block != 0 || cols % block != 0)
-            ernn_fatal("artifact payload: circulant kernel " << rows
-                       << "x" << cols << " not divisible by block "
-                       << block);
-        const std::size_t blocks = rows / block * (cols / block);
+        const quant::FixedPointFormat fmt =
+            readQ16Format(r, "circulant kernel");
+        const KernelDims d = readDims(r, true);
+        const std::size_t block = d.block;
+        const std::size_t blocks = d.rows / block * (d.cols / block);
         const std::size_t n = blocks * 2 * block;
         const char *p =
-            v3.fetch(r, n * sizeof(std::int16_t),
-                     "circulant int16 generator codes", true);
+            blobs.fetch(r, n * sizeof(std::int16_t),
+                        "circulant int16 generator codes", true);
         const auto *codes = reinterpret_cast<const std::int16_t *>(p);
-        if (v3.verify || !v3.zeroCopy) {
+        if (blobs.verify || !blobs.zeroCopy) {
             checkCodeRange(codes, n, fmt,
                            "circulant int16 generator codes");
             // The blob is the doubled compute layout; both halves of
@@ -650,56 +468,17 @@ readKernelV3(Reader &r, V3Resolver &v3)
                                    "doubled generator codes in block "
                                    << b);
         }
-        if (v3.zeroCopy)
+        if (blobs.zeroCopy)
             return std::make_unique<FixedPointKernel>(
-                FixedPointKernel::Borrowed{}, codes, rows, cols,
+                FixedPointKernel::Borrowed{}, codes, d.rows, d.cols,
                 block, fmt);
-        circulant::BlockCirculantMatrix m(rows, cols, block);
+        circulant::BlockCirculantMatrix m(d.rows, d.cols, block);
         for (std::size_t b = 0; b < blocks; ++b)
             for (std::size_t j = 0; j < block; ++j)
                 m.raw()[b * block + j] =
                     fmt.fromQ(codes[b * 2 * block + j]);
         m.invalidateSpectra();
         return std::make_unique<FixedPointKernel>(std::move(m), fmt);
-      }
-      default:
-        ernn_fatal("artifact payload: unknown kernel tag "
-                   << static_cast<int>(tag) << " at offset "
-                   << r.pos());
-    }
-}
-
-std::unique_ptr<LinearKernel>
-readKernel(Reader &r, V3Resolver *v3)
-{
-    if (v3)
-        return readKernelV3(r, *v3);
-    const std::uint8_t tag = r.u8("kernel tag");
-    switch (tag) {
-      case kDense:
-        return std::make_unique<DenseKernel>(readDense(r));
-      case kCirculantFft:
-        // The CirculantFftKernel constructor re-derives the generator
-        // spectra (warmSpectra), so they are never stored.
-        return std::make_unique<CirculantFftKernel>(readCirculant(r));
-      case kFixedPointDense: {
-        const quant::FixedPointFormat fmt = readFormat(r);
-        return std::make_unique<FixedPointKernel>(readDense(r), fmt);
-      }
-      case kFixedPointCirculant: {
-        const quant::FixedPointFormat fmt = readFormat(r);
-        return std::make_unique<FixedPointKernel>(readCirculant(r),
-                                                  fmt);
-      }
-      case kFixedPointDenseQ16: {
-        const quant::FixedPointFormat fmt = readFormat(r);
-        return std::make_unique<FixedPointKernel>(
-            readDenseQ16(r, fmt), fmt);
-      }
-      case kFixedPointCirculantQ16: {
-        const quant::FixedPointFormat fmt = readFormat(r);
-        return std::make_unique<FixedPointKernel>(
-            readCirculantQ16(r, fmt), fmt);
       }
       default:
         ernn_fatal("artifact payload: unknown kernel tag "
@@ -742,8 +521,7 @@ readAct(Reader &r, const char *what)
 // --- layers ------------------------------------------------------------
 
 void
-writeLstm(Writer &w, const detail::LstmParts &p,
-          std::uint32_t version, V3BlobTable *blobs)
+writeLstm(Writer &w, const detail::LstmParts &p, BlobTable &blobs)
 {
     w.u8(kLstm);
     w.size(p.cfg.inputSize);
@@ -760,10 +538,10 @@ writeLstm(Writer &w, const detail::LstmParts &p,
         p.wix.get(), p.wfx.get(), p.wcx.get(), p.wox.get(),
         p.wir.get(), p.wfr.get(), p.wcr.get(), p.wor.get()};
     for (const LinearKernel *k : order)
-        writeKernel(w, *k, version, blobs);
+        writeKernel(w, *k, blobs);
     w.u8(p.wym ? 1 : 0);
     if (p.wym)
-        writeKernel(w, *p.wym, version, blobs);
+        writeKernel(w, *p.wym, blobs);
 
     writeVector(w, p.bi);
     writeVector(w, p.bf);
@@ -775,7 +553,7 @@ writeLstm(Writer &w, const detail::LstmParts &p,
 }
 
 std::unique_ptr<CompiledLayer>
-readLstm(Reader &r, V3Resolver *v3)
+readLstm(Reader &r, BlobResolver &blobs)
 {
     detail::LstmParts p;
     p.cfg.inputSize = r.size("lstm input size");
@@ -792,9 +570,9 @@ readLstm(Reader &r, V3Resolver *v3)
         &p.wix, &p.wfx, &p.wcx, &p.wox,
         &p.wir, &p.wfr, &p.wcr, &p.wor};
     for (auto *slot : order)
-        *slot = readKernel(r, v3);
+        *slot = readKernel(r, blobs);
     if (r.u8("lstm projection flag"))
-        p.wym = readKernel(r, v3);
+        p.wym = readKernel(r, blobs);
 
     p.bi = readVector(r, "lstm bias bi");
     p.bf = readVector(r, "lstm bias bf");
@@ -811,8 +589,7 @@ readLstm(Reader &r, V3Resolver *v3)
 }
 
 void
-writeGru(Writer &w, const detail::GruParts &p, std::uint32_t version,
-         V3BlobTable *blobs)
+writeGru(Writer &w, const detail::GruParts &p, BlobTable &blobs)
 {
     w.u8(kGru);
     w.size(p.cfg.inputSize);
@@ -825,7 +602,7 @@ writeGru(Writer &w, const detail::GruParts &p, std::uint32_t version,
                                     p.wcx.get(), p.wzc.get(),
                                     p.wrc.get(), p.wcc.get()};
     for (const LinearKernel *k : order)
-        writeKernel(w, *k, version, blobs);
+        writeKernel(w, *k, blobs);
 
     writeVector(w, p.bz);
     writeVector(w, p.br);
@@ -833,7 +610,7 @@ writeGru(Writer &w, const detail::GruParts &p, std::uint32_t version,
 }
 
 std::unique_ptr<CompiledLayer>
-readGru(Reader &r, V3Resolver *v3)
+readGru(Reader &r, BlobResolver &blobs)
 {
     detail::GruParts p;
     p.cfg.inputSize = r.size("gru input size");
@@ -845,7 +622,7 @@ readGru(Reader &r, V3Resolver *v3)
     std::unique_ptr<LinearKernel> *order[6] = {
         &p.wzx, &p.wrx, &p.wcx, &p.wzc, &p.wrc, &p.wcc};
     for (auto *slot : order)
-        *slot = readKernel(r, v3);
+        *slot = readKernel(r, blobs);
 
     p.bz = readVector(r, "gru bias bz");
     p.br = readVector(r, "gru bias br");
@@ -868,23 +645,12 @@ readFileBytes(const std::string &path)
     return buf.str();
 }
 
-/** Header size up to and including totalFileBytes. */
-constexpr std::size_t kHeaderBytes =
-    sizeof kMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-
-constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
-
 // --- shared parse path -------------------------------------------------
 
-/**
- * Parse the model payload (options, layers, classifier) out of @p r.
- * Shared by every format version: a v3 caller passes @p v3 so kernel
- * reads resolve blob descriptors; legacy callers pass nullptr and the
- * kernels read their inline weight payloads.
- */
+/** Parse the model (options, layers, classifier) out of the metadata
+ *  stream @p r; kernel reads resolve their blobs through @p blobs. */
 void
-parseModel(CompiledModel &out, Reader &r, std::uint32_t version,
-           V3Resolver *v3)
+parseModel(CompiledModel &out, Reader &r, BlobResolver &blobs)
 {
     CompileOptions &options = detail::ArtifactAccess::options(out);
     const std::uint32_t backend = r.u32("backend kind");
@@ -896,10 +662,8 @@ parseModel(CompiledModel &out, Reader &r, std::uint32_t version,
     options.fixedPointBits = r.i32("fixed-point bits");
     options.activationSegments = r.size("activation segments");
     options.activationRange = r.f64("activation range");
-    // v1 predates the emulation knob: its models take the native
-    // integer datapath, which serves them bit-identically anyway.
     options.fixedPointEmulation =
-        version >= 2 && r.u8("fixed-point emulation flag") != 0;
+        r.u8("fixed-point emulation flag") != 0;
     // The datapath is re-derived from these options, so bound them
     // before makeDatapath can act on them: a crafted checksum-valid
     // file must die with a named fatal, not a giant PWL allocation.
@@ -928,10 +692,10 @@ parseModel(CompiledModel &out, Reader &r, std::uint32_t version,
         std::unique_ptr<CompiledLayer> layer;
         switch (tag) {
           case kLstm:
-            layer = readLstm(r, v3);
+            layer = readLstm(r, blobs);
             break;
           case kGru:
-            layer = readGru(r, v3);
+            layer = readGru(r, blobs);
             break;
           default:
             ernn_fatal("artifact payload: unknown layer tag "
@@ -950,7 +714,7 @@ parseModel(CompiledModel &out, Reader &r, std::uint32_t version,
     auto &classifier = detail::ArtifactAccess::classifier(out);
     Vector &classifierBias =
         detail::ArtifactAccess::classifierBias(out);
-    classifier = readKernel(r, v3);
+    classifier = readKernel(r, blobs);
     classifierBias = readVector(r, "classifier bias");
     ernn_assert(classifier->outDim() == classifierBias.size(),
                 "artifact payload: classifier emits "
@@ -971,79 +735,26 @@ parseModel(CompiledModel &out, Reader &r, std::uint32_t version,
  * Validate and parse a complete artifact byte image into @p out.
  * Validation order is part of the error contract: magic first (is
  * this an artifact at all?), then version (can this build read it?),
- * then declared size (was it truncated?), and only then the checksum
- * — the whole file for v1/v2, the metadata stream for v3 (each v3
- * blob carries its own checksum, verified as it is fetched unless
- * @p verifyBlobs is off). Returns the file's format version.
+ * then declared size (was it truncated?), and only then the metadata
+ * checksum (each blob carries its own checksum, verified as it is
+ * fetched unless @p verifyBlobs is off).
  */
-std::uint32_t
+void
 parseArtifact(CompiledModel &out, const char *data, std::size_t size,
               bool zeroCopy, bool verifyBlobs,
-              std::vector<V3Resolver::BlobInfo> *blobReport = nullptr)
+              std::vector<BlobResolver::BlobInfo> *blobReport = nullptr)
 {
-    if (size < kHeaderBytes + kChecksumBytes)
-        ernn_fatal("truncated artifact: " << size
-                   << " bytes is smaller than the "
-                   << kHeaderBytes + kChecksumBytes
-                   << "-byte header");
-    if (std::memcmp(data, kMagic, sizeof kMagic) != 0)
-        ernn_fatal("not an E-RNN artifact (bad magic)");
+    detail::checkFrameHeader(data, size, kHeaderBytes + kChecksumBytes,
+                             kFormat);
 
-    std::uint32_t version;
-    std::memcpy(&version, data + sizeof kMagic, sizeof version);
-    if (version < kMinArtifactFormatVersion ||
-        version > kArtifactFormatVersion)
-        ernn_fatal("artifact format version " << version
-                   << " is not supported by this build (reads "
-                   << kMinArtifactFormatVersion << ".."
-                   << kArtifactFormatVersion << ")");
-
-    std::uint64_t declared;
-    std::memcpy(&declared, data + sizeof kMagic + sizeof version,
-                sizeof declared);
-    if (declared != size) {
-        if (size < declared)
-            ernn_fatal("truncated artifact: header declares "
-                       << declared << " bytes, file has " << size);
-        ernn_fatal("artifact has " << size - declared
-                   << " trailing bytes past the declared "
-                   << declared << "-byte payload");
-    }
-
-    if (version < 3) {
-        std::uint64_t stored;
-        std::memcpy(&stored, data + size - kChecksumBytes,
-                    sizeof stored);
-        const std::uint64_t actual =
-            fnv1a64(data, size - kChecksumBytes);
-        if (stored != actual)
-            ernn_fatal("artifact checksum mismatch (stored 0x"
-                       << std::hex << stored << ", computed 0x"
-                       << actual << std::dec
-                       << "): the file is corrupted");
-
-        Reader r(data, size - kChecksumBytes);
-        // Skip the already-validated header.
-        for (std::size_t i = 0; i < sizeof kMagic; ++i)
-            r.u8("magic");
-        r.u32("format version");
-        r.u64("declared size");
-        parseModel(out, r, version, nullptr);
-        return version;
-    }
-
-    // v3: the metadata stream [0, metaEnd) carries its own checksum
-    // at metaEnd; the blob section past it is covered per blob.
-    constexpr std::size_t v3Header =
-        kHeaderBytes + sizeof(std::uint64_t);
-    std::uint64_t metaEnd = 0;
-    if (size >= v3Header)
-        std::memcpy(&metaEnd, data + kHeaderBytes, sizeof metaEnd);
-    if (size < v3Header + kChecksumBytes || metaEnd < v3Header ||
-        metaEnd > size - kChecksumBytes)
+    // The metadata stream [0, metaEnd) carries its own checksum at
+    // metaEnd; the blob section past it is covered per blob.
+    std::uint64_t metaEnd;
+    std::memcpy(&metaEnd, data + kFrameHeaderBytes, sizeof metaEnd);
+    if (metaEnd < kHeaderBytes || metaEnd > size - kChecksumBytes)
         ernn_fatal("truncated artifact: metadata end " << metaEnd
                    << " out of range of the " << size
-                   << "-byte v3 file");
+                   << "-byte file");
 
     std::uint64_t stored;
     std::memcpy(&stored, data + metaEnd, sizeof stored);
@@ -1054,24 +765,23 @@ parseArtifact(CompiledModel &out, const char *data, std::size_t size,
                    << std::hex << stored << ", computed 0x" << actual
                    << std::dec << "): the file is corrupted");
 
-    V3Resolver v3;
-    v3.base = data;
-    v3.fileSize = size;
-    v3.blobStart =
+    BlobResolver blobs;
+    blobs.base = data;
+    blobs.fileSize = size;
+    blobs.blobStart =
         align64(static_cast<std::size_t>(metaEnd) + kChecksumBytes);
-    v3.zeroCopy = zeroCopy;
-    v3.verify = verifyBlobs;
+    blobs.zeroCopy = zeroCopy;
+    blobs.verify = verifyBlobs;
 
     Reader r(data, static_cast<std::size_t>(metaEnd));
-    for (std::size_t i = 0; i < sizeof kMagic; ++i)
+    for (std::size_t i = 0; i < 8; ++i)
         r.u8("magic");
     r.u32("format version");
     r.u64("declared size");
     r.u64("metadata end");
-    parseModel(out, r, version, &v3);
+    parseModel(out, r, blobs);
     if (blobReport)
-        *blobReport = std::move(v3.report);
-    return version;
+        *blobReport = std::move(blobs.report);
 }
 
 /**
@@ -1140,35 +850,20 @@ class ArtifactMapping
 } // namespace
 
 std::string
-serializeArtifact(const CompiledModel &model, std::uint32_t version)
+serializeArtifact(const CompiledModel &model)
 {
-    ernn_assert(version >= kMinArtifactFormatVersion &&
-                    version <= kArtifactFormatVersion,
-                "serializeArtifact: cannot write format version "
-                << version << " (this build writes "
-                << kMinArtifactFormatVersion << ".."
-                << kArtifactFormatVersion << ")");
     Writer w;
-    for (char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(version);
-    const std::size_t size_field = w.tell();
-    w.u64(0); // total file bytes, patched below
-    std::size_t meta_end_field = 0;
-    if (version >= 3) {
-        meta_end_field = w.tell();
-        w.u64(0); // metadata end, patched below
-    }
-    V3BlobTable table;
-    V3BlobTable *const blobs = version >= 3 ? &table : nullptr;
+    detail::beginFrame(w, kFormat);
+    const std::size_t meta_end_field = w.tell();
+    w.u64(0); // metadata end, patched below
+    BlobTable blobs;
 
     const CompileOptions &opts = model.options();
     w.u32(static_cast<std::uint32_t>(opts.backend));
     w.i32(opts.fixedPointBits);
     w.size(opts.activationSegments);
     w.f64(opts.activationRange);
-    if (version >= 2)
-        w.u8(opts.fixedPointEmulation ? 1 : 0);
+    w.u8(opts.fixedPointEmulation ? 1 : 0);
 
     w.u32(static_cast<std::uint32_t>(model.numLayers()));
     for (std::size_t i = 0; i < model.numLayers(); ++i) {
@@ -1176,11 +871,11 @@ serializeArtifact(const CompiledModel &model, std::uint32_t version)
         if (const auto *lstm =
                 dynamic_cast<const detail::CompiledLstmLayer *>(
                     &layer)) {
-            writeLstm(w, lstm->parts(), version, blobs);
+            writeLstm(w, lstm->parts(), blobs);
         } else if (const auto *gru =
                        dynamic_cast<const detail::CompiledGruLayer *>(
                            &layer)) {
-            writeGru(w, gru->parts(), version, blobs);
+            writeGru(w, gru->parts(), blobs);
         } else {
             ernn_fatal("saveArtifact: layer kind '"
                        << layer.kindName()
@@ -1188,26 +883,16 @@ serializeArtifact(const CompiledModel &model, std::uint32_t version)
         }
     }
 
-    writeKernel(w, model.classifier(), version, blobs);
+    writeKernel(w, model.classifier(), blobs);
     writeVector(w, model.classifierBias());
 
-    if (version < 3) {
-        w.patchU64(size_field, w.tell() + kChecksumBytes);
-        std::string bytes = w.take();
-        const std::uint64_t sum =
-            fnv1a64(bytes.data(), bytes.size());
-        bytes.append(reinterpret_cast<const char *>(&sum),
-                     sizeof sum);
-        return bytes;
-    }
-
-    // v3: the metadata stream ends here; lay out the blob section
-    // (every blob 64-byte aligned) and patch each descriptor with
-    // its final offset, byte count, and payload checksum.
+    // The metadata stream ends here; lay out the blob section (every
+    // blob 64-byte aligned) and patch each descriptor with its final
+    // offset, byte count, and payload checksum.
     const std::size_t meta_end = w.tell();
     w.patchU64(meta_end_field, meta_end);
     std::size_t off = align64(meta_end + kChecksumBytes);
-    for (auto &e : table.entries()) {
+    for (auto &e : blobs.entries()) {
         e.offset = off;
         w.patchU64(e.patch, e.offset);
         w.patchU64(e.patch + sizeof(std::uint64_t), e.bytes);
@@ -1217,26 +902,25 @@ serializeArtifact(const CompiledModel &model, std::uint32_t version)
         off = align64(off + e.bytes);
     }
     const std::size_t total =
-        table.entries().empty()
+        blobs.entries().empty()
             ? meta_end + kChecksumBytes
-            : table.entries().back().offset +
-                  table.entries().back().bytes;
-    w.patchU64(size_field, total);
+            : blobs.entries().back().offset +
+                  blobs.entries().back().bytes;
+    w.patchU64(detail::kFrameSizeField, total);
 
     std::string bytes = w.take();
     const std::uint64_t sum = fnv1a64(bytes.data(), meta_end);
     bytes.append(reinterpret_cast<const char *>(&sum), sizeof sum);
     bytes.resize(total, '\0'); // alignment padding + blob space
-    for (const auto &e : table.entries())
+    for (const auto &e : blobs.entries())
         std::memcpy(&bytes[e.offset], e.data, e.bytes);
     return bytes;
 }
 
 void
-saveArtifact(const CompiledModel &model, const std::string &path,
-             std::uint32_t version)
+saveArtifact(const CompiledModel &model, const std::string &path)
 {
-    const std::string bytes = serializeArtifact(model, version);
+    const std::string bytes = serializeArtifact(model);
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     if (!os)
         ernn_fatal("cannot open artifact file " << path
@@ -1275,14 +959,11 @@ loadArtifactMapped(const std::string &path, MapOptions opts)
     auto mapping = std::make_shared<ArtifactMapping>(path);
     std::shared_ptr<CompiledModel> out =
         detail::ArtifactAccess::makeShared();
-    const std::uint32_t version =
-        parseArtifact(*out, mapping->data(), mapping->size(),
-                      /*zeroCopy=*/true, opts.verifyBlobs);
-    // Legacy formats parse through the copying path: nothing borrows
-    // from the mapping, so it is released right here. A v3 model
+    parseArtifact(*out, mapping->data(), mapping->size(),
+                  /*zeroCopy=*/true, opts.verifyBlobs);
+    // The model borrows its weight blobs from the mapping, so it
     // keeps the mapping alive as long as it lives.
-    if (version >= 3)
-        detail::ArtifactAccess::mapping(*out) = std::move(mapping);
+    detail::ArtifactAccess::mapping(*out) = std::move(mapping);
     return out;
 }
 
@@ -1291,20 +972,16 @@ describeArtifact(const std::string &path)
 {
     const std::string bytes = readFileBytes(path);
     auto modelPtr = detail::ArtifactAccess::makeShared();
-    std::vector<V3Resolver::BlobInfo> blobs;
-    const std::uint32_t version =
-        parseArtifact(*modelPtr, bytes.data(), bytes.size(),
-                      /*zeroCopy=*/false, /*verifyBlobs=*/true,
-                      &blobs);
+    std::vector<BlobResolver::BlobInfo> blobs;
+    parseArtifact(*modelPtr, bytes.data(), bytes.size(),
+                  /*zeroCopy=*/false, /*verifyBlobs=*/true, &blobs);
     const CompiledModel &model = *modelPtr;
 
     std::ostringstream os;
     os << path << ": " << model.describe() << "\n";
-    os << "  format v" << version << ", "
-       << fmtBytes(static_cast<double>(bytes.size())) << ", "
-       << (version >= 3 ? "metadata and blob checksums ok"
-                        : "checksum ok")
-       << "\n";
+    os << "  format v" << kArtifactFormatVersion << ", "
+       << fmtBytes(static_cast<double>(bytes.size()))
+       << ", metadata and blob checksums ok\n";
     os << "  backend " << backendKindName(model.options().backend)
        << ", " << fmtGrouped(static_cast<long long>(
                      model.storedParams()))
@@ -1346,17 +1023,14 @@ describeArtifact(const std::string &path)
             &model.classifier()))
         os << " (" << fp->weightFormat().name() << ")";
     os << "\n";
-    if (version >= 3) {
-        os << "  blob section: " << blobs.size() << " blobs, every "
-           << "offset " << kArtifactBlobAlign << "-byte aligned\n";
-        for (const auto &b : blobs)
-            os << "    [" << std::setw(10) << b.offset << ", +"
-               << b.bytes << ") " << b.what << ": "
-               << (b.inPlace ? "mapped in place under "
-                               "loadArtifactMapped"
-                             : "copied on load")
-               << "\n";
-    }
+    os << "  blob section: " << blobs.size() << " blobs, every "
+       << "offset " << kArtifactBlobAlign << "-byte aligned\n";
+    for (const auto &b : blobs)
+        os << "    [" << std::setw(10) << b.offset << ", +" << b.bytes
+           << ") " << b.what << ": "
+           << (b.inPlace ? "mapped in place under loadArtifactMapped"
+                         : "copied on load")
+           << "\n";
     return os.str();
 }
 

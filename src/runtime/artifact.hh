@@ -9,67 +9,57 @@
  * no training stack involved.
  *
  * Format (all integers little-endian on every supported platform —
- * host-endian, documented as x86-64/AArch64-little):
+ * host-endian, documented as x86-64/AArch64-little). Metadata and
+ * weight payloads are split so a model can be served straight out of
+ * an mmap with zero copy:
  *
- *   v1/v2 (legacy, still read):
- *     offset 0   magic "ERNNARTF"             (8 bytes)
- *             8  u32 formatVersion
- *            12  u64 totalFileBytes           (incl. trailing checksum)
- *            20  CompileOptions               (backend kind, fixed-point
- *                                              bits, PWL segments/range;
- *                                              v2 adds u8 emulation flag)
- *               u32 layerCount
- *               per layer: cell kind tag, cell config, kernels in
- *                 canonical gate order, frozen bias/peephole vectors
- *               classifier kernel + frozen classifier bias
- *     end-8      u64 FNV-1a checksum over every preceding byte
+ *   offset 0   magic "ERNNARTF"             (8 bytes)
+ *          8   u32 formatVersion = 3
+ *         12   u64 totalFileBytes
+ *         20   u64 metaEnd                  (offset of metaChecksum)
+ *         28   metadata stream:
+ *                CompileOptions (backend kind, fixed-point bits, PWL
+ *                  segments/range, u8 emulation flag)
+ *                u32 layerCount
+ *                per layer: cell kind tag, cell config, kernels in
+ *                  canonical gate order, frozen bias/peephole vectors
+ *                classifier kernel + frozen classifier bias
+ *              Every kernel stores its tag, quantization format
+ *              where applicable, dims, and a *blob descriptor*
+ *              {u64 offset, u64 bytes, u64 fnv1a} in place of its
+ *              weights; biases stay inline (they are copied anyway).
+ *   metaEnd    u64 FNV-1a checksum over bytes [0, metaEnd)
+ *              zero padding to a 64-byte boundary
+ *              blob section: each blob starts 64-byte aligned,
+ *              zero-padded in between; totalFileBytes ends the last
  *
- *   v3 (this build's default) splits metadata from weight payloads
- *   so a model can be served straight out of an mmap with zero copy:
- *     offset 0   magic "ERNNARTF"             (8 bytes)
- *             8  u32 formatVersion = 3
- *            12  u64 totalFileBytes
- *            20  u64 metaEnd                  (offset of metaChecksum)
- *            28  metadata stream: CompileOptions, layerCount, layers
- *               and classifier as in v2 — except every kernel stores
- *               its dims plus a *blob descriptor* {u64 offset, u64
- *               bytes, u64 fnv1a} instead of an inline weight payload
- *               (biases stay inline: they are copied anyway)
- *     metaEnd    u64 FNV-1a checksum over bytes [0, metaEnd)
- *               zero padding to a 64-byte boundary
- *               blob section: each blob starts 64-byte aligned,
- *               zero-padded in between; totalFileBytes ends the last
- *
- *   v3 blob payloads are stored in *compute layout*: dense f64
- *   weights row-major (served in place by a borrowing DenseKernel),
- *   packed fixed-point weights as int16 codes (dense: row-major;
- *   circulant: doubled generators, each block row one contiguous
- *   slice) served in place by a borrowing FixedPointKernel.
- *   Circulant-FFT generators are still copied on load (their spectra
- *   must be re-derived regardless), as are unpacked (> 16-bit)
- *   fixed-point weights.
+ * Blob payloads are stored in *compute layout*. Dense f64 weights
+ * are row-major and served in place by a borrowing DenseKernel.
+ * Packed fixed-point weights (width <= 16) are int16 grid codes —
+ * code q means weight q * 2^-fracBits, an exact reconstruction —
+ * row-major for dense kernels and as doubled generators for
+ * circulant ones (each block row one contiguous slice), served in
+ * place by a borrowing FixedPointKernel. Circulant-FFT generators are
+ * copied on load (their spectra must be re-derived regardless), as
+ * are wider fixed-point weights, stored as their f64 grid values.
  *
  * Each kernel records its concrete backend (dense / circulant-fft /
  * fixed-point dense / fixed-point circulant), its geometry, its
  * quantization format where applicable, and its weight payload — so
- * the round trip is bit-exact by construction. Version 1 stored every
- * weight as raw f64; version 2 stores fixed-point weights of width
- * <= 16 as their int16 grid codes instead (~4x smaller files at the
- * paper's 12-bit design point — code q means weight q * 2^-fracBits,
- * an exact reconstruction). Derived state is never stored: circulant
- * generator spectra and fixed-point PWL activation tables are
- * re-derived deterministically on load. Versions 1 and 2 remain
- * loadable (and serve through the same native integer datapath once
- * loaded).
+ * the round trip is bit-exact by construction. Derived state is never
+ * stored: circulant generator spectra and fixed-point PWL activation
+ * tables are re-derived deterministically on load. Files of the
+ * retired formats 1 and 2 are rejected with a version fatal that says
+ * how to re-create them (`ernn compile`).
  *
  * Error contract: every failure is fatal and informative
  * (ernn_fatal): unreadable file, bad magic, format version skew,
  * truncation (declared size vs. actual), checksum mismatch, and
  * structurally inconsistent payloads each name the file and the
- * specific defect — v3 adds out-of-bounds, misaligned, and
- * checksum-mismatched blob descriptors to the list. A loaded
- * artifact is therefore either fully usable or the process has
- * already said exactly why not.
+ * specific defect, as do out-of-bounds, misaligned, and
+ * checksum-mismatched blob descriptors. A loaded artifact is
+ * therefore either fully usable or the process has already said
+ * exactly why not.
  */
 
 #ifndef ERNN_RUNTIME_ARTIFACT_HH
@@ -83,31 +73,22 @@
 namespace ernn::runtime
 {
 
-/** Artifact format version this build writes by default. */
+/** The artifact format version this build writes and reads. */
 constexpr std::uint32_t kArtifactFormatVersion = 3;
 
-/** Oldest artifact format version this build still reads. */
-constexpr std::uint32_t kMinArtifactFormatVersion = 1;
-
-/** Alignment of every v3 weight blob (cache-line sized, and enough
- *  for any element type the blobs carry). */
+/** Alignment of every weight blob (cache-line sized, and enough for
+ *  any element type the blobs carry). */
 constexpr std::size_t kArtifactBlobAlign = 64;
 
 /**
- * Serialize a frozen model to its portable byte representation.
- * @p version selects the on-disk format: 3 (default) appends an
- * aligned zero-copy blob section, 2 packs fixed-point weights as
- * inline int16 codes, 1 writes the legacy all-f64 layout (kept so
- * compatibility with old readers stays testable and scriptable).
- * All round-trip bit-exactly.
+ * Serialize a frozen model to its portable byte representation. The
+ * encoding is canonical: re-serializing a loaded model reproduces
+ * the bytes exactly.
  */
-std::string serializeArtifact(
-    const CompiledModel &model,
-    std::uint32_t version = kArtifactFormatVersion);
+std::string serializeArtifact(const CompiledModel &model);
 
 /** Write serialized bytes to @p path; fatal on I/O failure. */
-void saveArtifact(const CompiledModel &model, const std::string &path,
-                  std::uint32_t version = kArtifactFormatVersion);
+void saveArtifact(const CompiledModel &model, const std::string &path);
 
 /**
  * Rebuild a CompiledModel from artifact bytes. Fatal (with the
@@ -141,21 +122,20 @@ struct MapOptions
 };
 
 /**
- * Memory-map an artifact and serve straight out of the mapping: a v3
+ * Memory-map an artifact and serve straight out of the mapping: the
  * file's dense f64 and packed int16 weight blobs are *borrowed* by
  * the kernels (zero copy — a cold model is ready to serve in
  * milliseconds), and the returned model owns the mapping for its
- * whole lifetime. v1/v2 files fall back to the copying loader, so
- * callers can use this unconditionally. Fatal on any format error,
- * with the same named-defect contract as loadArtifact.
+ * whole lifetime. Fatal on any format error, with the same
+ * named-defect contract as loadArtifact.
  */
 std::shared_ptr<const CompiledModel>
 loadArtifactMapped(const std::string &path, MapOptions opts = {});
 
 /** Human-readable multi-line summary of an artifact file (the CLI's
- *  `ernn info`): backend, layers, kernels, quantization metadata —
- *  and, for v3 files, the blob section layout (offset, size,
- *  alignment, mapped-in-place vs copied-on-load). */
+ *  `ernn info`): backend, layers, kernels, quantization metadata,
+ *  and the blob section layout (offset, size, alignment,
+ *  mapped-in-place vs copied-on-load). */
 std::string describeArtifact(const std::string &path);
 
 } // namespace ernn::runtime

@@ -1,6 +1,5 @@
 #include "runtime/checkpoint.hh"
 
-#include <cstring>
 #include <iomanip>
 #include <sstream>
 
@@ -49,16 +48,13 @@ namespace
 {
 
 using detail::fnv1a64;
+using detail::FrameFormat;
 using detail::Reader;
 using detail::StreamStateAccess;
 using detail::Writer;
 
-constexpr char kMagic[8] = {'E', 'R', 'N', 'N', 'C', 'K', 'P', 'T'};
-
-// magic + version + total bytes; the trailing checksum is 8 more.
-constexpr std::size_t kHeaderBytes =
-    sizeof kMagic + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
+constexpr FrameFormat kFormat{"ERNNCKPT", kCheckpointFormatVersion,
+                             "stream checkpoint"};
 
 /**
  * Plausibility bound on the per-layer state vectors a blob may
@@ -111,11 +107,7 @@ checkpointStream(const CompiledModel &model, const StreamState &state,
                 << " layers vs " << model.numLayers() << ")");
 
     Writer w;
-    for (char c : kMagic)
-        w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kCheckpointFormatVersion);
-    const std::size_t totalPatch = w.tell();
-    w.u64(0); // total bytes, patched below
+    detail::beginFrame(w, kFormat);
     w.u64(modelFingerprint(model));
     w.u64(StreamStateAccess::frames(state));
     w.u32(static_cast<std::uint32_t>(model.numLayers()));
@@ -124,82 +116,14 @@ checkpointStream(const CompiledModel &model, const StreamState &state,
         w.reals(l.c);
     }
     w.bytes(aux);
-
-    w.patchU64(totalPatch, w.tell() + kChecksumBytes);
-    // The checksum covers every preceding byte, total-bytes included.
-    std::string blob = w.take();
-    const std::uint64_t checksum = fnv1a64(blob.data(), blob.size());
-    blob.append(reinterpret_cast<const char *>(&checksum),
-                sizeof checksum);
-    return blob;
+    return detail::sealFrame(w);
 }
-
-namespace
-{
-
-/**
- * Validate @p blob's framing and checksum (the model-independent
- * part of the restore contract) and return a Reader positioned past
- * the already-validated header. Fatal with a named diagnostic on
- * any malformation; validation order is part of the error contract:
- * magic first (is this a checkpoint at all?), then version, then
- * declared size (was it truncated?), then the checksum.
- */
-Reader
-openCheckpoint(const std::string &blob)
-{
-    const char *data = blob.data();
-    const std::size_t size = blob.size();
-    if (size < kHeaderBytes + kChecksumBytes)
-        ernn_fatal("truncated stream checkpoint: " << size
-                   << " bytes is smaller than the "
-                   << kHeaderBytes + kChecksumBytes
-                   << "-byte header");
-    if (std::memcmp(data, kMagic, sizeof kMagic) != 0)
-        ernn_fatal("not a stream checkpoint (bad magic)");
-
-    std::uint32_t version;
-    std::memcpy(&version, data + sizeof kMagic, sizeof version);
-    if (version != kCheckpointFormatVersion)
-        ernn_fatal("stream checkpoint format version " << version
-                   << " is not supported by this build (reads "
-                   << kCheckpointFormatVersion << ")");
-
-    std::uint64_t declared;
-    std::memcpy(&declared, data + sizeof kMagic + sizeof version,
-                sizeof declared);
-    if (declared != size) {
-        if (size < declared)
-            ernn_fatal("truncated stream checkpoint: header declares "
-                       << declared << " bytes, blob has " << size);
-        ernn_fatal("stream checkpoint has " << size - declared
-                   << " trailing bytes past the declared " << declared
-                   << "-byte payload");
-    }
-
-    std::uint64_t stored;
-    std::memcpy(&stored, data + size - kChecksumBytes, sizeof stored);
-    const std::uint64_t actual = fnv1a64(data, size - kChecksumBytes);
-    if (stored != actual)
-        ernn_fatal("stream checkpoint checksum mismatch (stored 0x"
-                   << std::hex << stored << ", computed 0x" << actual
-                   << std::dec << "): the blob is corrupted");
-
-    Reader r(data, size - kChecksumBytes, "stream checkpoint");
-    for (std::size_t i = 0; i < sizeof kMagic; ++i)
-        r.u8("magic");
-    r.u32("format version");
-    r.u64("declared size");
-    return r;
-}
-
-} // namespace
 
 void
 restoreStream(const CompiledModel &model, StreamState &state,
               const std::string &blob, std::string *aux)
 {
-    Reader r = openCheckpoint(blob);
+    Reader r = detail::openFrame(blob, kFormat);
 
     const std::uint64_t fingerprint = r.u64("model fingerprint");
     const std::uint64_t expect = modelFingerprint(model);
@@ -261,7 +185,7 @@ restoreStream(const CompiledModel &model, StreamState &state,
 CheckpointInfo
 describeCheckpoint(const std::string &blob)
 {
-    Reader r = openCheckpoint(blob);
+    Reader r = detail::openFrame(blob, kFormat);
     CheckpointInfo info;
     info.version = kCheckpointFormatVersion;
     info.totalBytes = blob.size();

@@ -1,12 +1,13 @@
 /**
  * @file
- * Shared byte-level serialization helpers for the runtime's on-disk
- * and over-the-wire encodings: the model artifact (artifact.cc) and
- * the stream checkpoint blob (checkpoint.cc). Both formats are
- * little-endian fixed-width fields guarded by an FNV-1a checksum;
- * keeping the Writer/Reader pair in one place keeps their error
- * contracts identical — every malformed input is fatal and names
- * what was being read.
+ * Shared byte-level serialization helpers for the library's on-disk
+ * and over-the-wire encodings: the model artifact (artifact.cc), the
+ * stream checkpoint blob (checkpoint.cc) and the training checkpoint
+ * (nn/train_checkpoint.cc). All three are little-endian fixed-width
+ * fields behind one frame header and guarded by FNV-1a checksums;
+ * keeping the Writer/Reader pair and the frame validator in one place
+ * keeps their error contracts identical — every malformed input is
+ * fatal and names what was being read.
  */
 
 #ifndef ERNN_RUNTIME_WIRE_HH
@@ -14,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ios>
 #include <string>
 #include <vector>
 
@@ -53,13 +55,6 @@ class Writer
         size(v.size());
         if (!v.empty())
             raw(v.data(), v.size() * sizeof(Real));
-    }
-
-    void codes(const std::int16_t *p, std::size_t n)
-    {
-        size(n);
-        if (n)
-            raw(p, n * sizeof(std::int16_t));
     }
 
     void bytes(const std::string &v)
@@ -152,17 +147,6 @@ class Reader
             raw(out.data(), n * sizeof(Real), what);
     }
 
-    void codesInto(std::vector<std::int16_t> &out, const char *what)
-    {
-        const std::size_t n = size(what);
-        ernn_assert(n <= (end_ - pos_) / sizeof(std::int16_t),
-                    context_ << ": " << what << " claims " << n
-                    << " codes past the end of the payload");
-        out.resize(n);
-        if (n)
-            raw(out.data(), n * sizeof(std::int16_t), what);
-    }
-
     void bytesInto(std::string &out, const char *what)
     {
         const std::size_t n = size(what);
@@ -194,6 +178,118 @@ class Reader
     std::size_t end_;
     const char *context_;
 };
+
+/**
+ * Identity of one sealed binary format. Every format this library
+ * writes opens with the same header — 8-byte magic, u32 format
+ * version, u64 total bytes — and the validators below check it in one
+ * order, which is part of each format's error contract: magic first
+ * (is this the format at all?), then version (can this build read
+ * it?), then declared size (was it truncated?), and only then the
+ * checksum (was it corrupted?).
+ */
+struct FrameFormat
+{
+    const char *magic;     //!< exactly 8 bytes, not NUL-terminated
+    std::uint32_t version; //!< the one version this build reads
+    const char *noun;      //!< names the format in every diagnostic
+    const char *versionHint = ""; //!< appended to the version fatal
+};
+
+/** Magic + version + total bytes. */
+constexpr std::size_t kFrameHeaderBytes =
+    8 + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+/** Offset of the u64 total-bytes field. */
+constexpr std::size_t kFrameSizeField = 8 + sizeof(std::uint32_t);
+constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
+
+/** Write the frame header; total bytes is patched by the caller
+ *  (or by sealFrame). */
+inline void
+beginFrame(Writer &w, const FrameFormat &f)
+{
+    for (std::size_t i = 0; i < 8; ++i)
+        w.u8(static_cast<std::uint8_t>(f.magic[i]));
+    w.u32(f.version);
+    w.u64(0);
+}
+
+/** Finish a frame whose checksum trails the payload: patch total
+ *  bytes, then append FNV-1a over every preceding byte (total bytes
+ *  included). */
+inline std::string
+sealFrame(Writer &w)
+{
+    w.patchU64(kFrameSizeField, w.tell() + kChecksumBytes);
+    std::string blob = w.take();
+    const std::uint64_t sum = fnv1a64(blob.data(), blob.size());
+    blob.append(reinterpret_cast<const char *>(&sum), sizeof sum);
+    return blob;
+}
+
+/**
+ * Validate magic, version and declared size, in that order. Fatal
+ * with a named diagnostic on the first defect; @p min_size is the
+ * smallest well-formed frame (header plus checksum at least).
+ */
+inline void
+checkFrameHeader(const char *data, std::size_t size,
+                 std::size_t min_size, const FrameFormat &f)
+{
+    if (size < min_size)
+        ernn_fatal("truncated " << f.noun << ": " << size
+                   << " bytes is smaller than the " << min_size
+                   << "-byte header");
+    if (std::memcmp(data, f.magic, 8) != 0)
+        ernn_fatal("not a valid " << f.noun << " (bad magic)");
+
+    std::uint32_t version;
+    std::memcpy(&version, data + 8, sizeof version);
+    if (version != f.version)
+        ernn_fatal(f.noun << " format version " << version
+                   << " is not supported by this build (reads "
+                   << f.version << ")" << f.versionHint);
+
+    std::uint64_t declared;
+    std::memcpy(&declared, data + kFrameSizeField, sizeof declared);
+    if (declared != size) {
+        if (size < declared)
+            ernn_fatal("truncated " << f.noun << ": header declares "
+                       << declared << " bytes, only " << size
+                       << " present");
+        ernn_fatal(f.noun << " has " << size - declared
+                   << " trailing bytes past the declared " << declared
+                   << "-byte payload");
+    }
+}
+
+/**
+ * Validate a frame sealed by sealFrame() — header, then the trailing
+ * checksum — and return a Reader over its payload, positioned past
+ * the header.
+ */
+inline Reader
+openFrame(const std::string &blob, const FrameFormat &f)
+{
+    const char *data = blob.data();
+    const std::size_t size = blob.size();
+    checkFrameHeader(data, size, kFrameHeaderBytes + kChecksumBytes, f);
+
+    std::uint64_t stored;
+    std::memcpy(&stored, data + size - kChecksumBytes, sizeof stored);
+    const std::uint64_t actual = fnv1a64(data, size - kChecksumBytes);
+    if (stored != actual)
+        ernn_fatal(f.noun << " checksum mismatch (stored 0x" << std::hex
+                   << stored << ", computed 0x" << actual << std::dec
+                   << "): the " << f.noun << " is corrupted");
+
+    Reader r(data, size - kChecksumBytes, f.noun);
+    for (std::size_t i = 0; i < 8; ++i)
+        r.u8("magic");
+    r.u32("format version");
+    r.u64("declared size");
+    return r;
+}
 
 } // namespace ernn::runtime::detail
 

@@ -161,9 +161,9 @@ class ModelRegistry
 
     /**
      * Deployment fast path: publish straight from an artifact file.
-     * v3 artifacts mmap (weights served zero-copy from the page
-     * cache); v1/v2 fall back to a copying load. Fatal, with the
-     * specific defect named, on any artifact format error.
+     * The artifact is mapped (weights served zero-copy from the
+     * page cache). Fatal, with the specific defect named, on any
+     * artifact format error.
      */
     void publishArtifact(const std::string &id, std::uint64_t version,
                          const std::string &artifactPath,

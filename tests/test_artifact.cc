@@ -7,10 +7,12 @@
  * specific defect named.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 
 #include "base/random.hh"
 #include "nn/model_builder.hh"
@@ -125,17 +127,6 @@ checkRoundTrip(const nn::ModelSpec &spec,
     // A second round trip of the loaded model must byte-match: the
     // format has one canonical encoding per model.
     EXPECT_EQ(bytes, runtime::serializeArtifact(loaded));
-
-    // The legacy v1 (all-f64) encoding stays writable and readable:
-    // a v1 file serves bit-identically and re-serializes canonically
-    // in both versions.
-    const std::string v1 = runtime::serializeArtifact(original, 1);
-    const runtime::CompiledModel from_v1 =
-        runtime::loadArtifactBytes(v1);
-    runtime::InferenceSession s3 = from_v1.createSession();
-    expectIdenticalResults(s1.run(batch), s3.run(batch));
-    EXPECT_EQ(v1, runtime::serializeArtifact(from_v1, 1));
-    EXPECT_EQ(bytes, runtime::serializeArtifact(from_v1));
 }
 
 std::string
@@ -244,25 +235,31 @@ TEST(Artifact, ServerLoadsArtifactWithoutTrainingStack)
     std::remove(path.c_str());
 }
 
-TEST(Artifact, V2PacksFixedPointWeightsSmaller)
+TEST(Artifact, PackedFixedPointBlobsAreSmaller)
 {
-    const nn::StackedRnn model = trainedModel(lstmSpec(), 29);
+    // Dense weights, so every blob packs 4x; the tiny circulant spec
+    // would measure alignment padding and the doubled generators.
+    nn::ModelSpec spec = lstmSpec();
+    spec.blockSizes.clear();
+    const nn::StackedRnn model = trainedModel(spec, 29);
     runtime::CompileOptions opts;
     opts.backend = runtime::BackendKind::FixedPoint;
-    const runtime::CompiledModel compiled =
-        runtime::compile(model, opts);
-
-    const std::string v2 = runtime::serializeArtifact(compiled, 2);
-    const std::string v1 = runtime::serializeArtifact(compiled, 1);
-    // int16 codes vs f64 weights: the weight payload shrinks 4x;
-    // headers and f64 biases dilute that a little.
-    EXPECT_LT(v2.size(), v1.size() * 6 / 10)
-        << "v2 " << v2.size() << " bytes vs v1 " << v1.size();
+    const std::string packed =
+        runtime::serializeArtifact(runtime::compile(model, opts));
+    opts.fixedPointBits = 20;
+    const std::string wide =
+        runtime::serializeArtifact(runtime::compile(model, opts));
+    // 12-bit weights are int16 code blobs, 20-bit ones f64 blobs: the
+    // weight payload shrinks 4x; metadata, alignment padding and f64
+    // biases dilute that.
+    EXPECT_LT(packed.size(), wide.size() * 6 / 10)
+        << "12-bit " << packed.size() << " bytes vs 20-bit "
+        << wide.size();
 }
 
 TEST(Artifact, WideFixedPointFallsBackToF64Encoding)
 {
-    // 20-bit weights cannot pack into int16: v2 must keep the f64
+    // 20-bit weights cannot pack into int16: they keep the f64
     // encoding and still round-trip bit-exactly.
     const nn::StackedRnn model = trainedModel(gruSpec(), 31);
     runtime::CompileOptions opts;
@@ -320,26 +317,9 @@ TEST(Artifact, InfoSummaryNamesBackendAndQuantization)
     EXPECT_NE(info.find("lstm"), std::string::npos);
     EXPECT_NE(info.find("format v3"), std::string::npos);
     EXPECT_NE(info.find("native int16"), std::string::npos);
-    // v3 summaries list the blob section layout.
+    // Summaries list the blob section layout.
     EXPECT_NE(info.find("blob section"), std::string::npos);
     EXPECT_NE(info.find("mapped in place"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(Artifact, InfoReportsTheFileVersionNotTheBuildDefault)
-{
-    const nn::StackedRnn model = trainedModel(gruSpec(), 47);
-    runtime::CompileOptions opts;
-    opts.backend = runtime::BackendKind::FixedPoint;
-    const runtime::CompiledModel compiled =
-        runtime::compile(model, opts);
-    const std::string path = tempPath("v1info.ernn");
-    writeBytes(path, runtime::serializeArtifact(compiled, 1));
-
-    const std::string info = runtime::describeArtifact(path);
-    EXPECT_NE(info.find("format v1"), std::string::npos);
-    // A v1 file still serves through the native integer datapath.
-    EXPECT_NE(info.find("native int16"), std::string::npos);
     std::remove(path.c_str());
 }
 
@@ -366,23 +346,18 @@ TEST_F(ArtifactErrors, RejectsGarbageMagic)
 
 TEST_F(ArtifactErrors, RejectsVersionSkew)
 {
-    std::string bad = bytes_;
-    bad[8] = static_cast<char>(bad[8] + 1); // u32 version LSB: 2 -> 3
-    EXPECT_DEATH(runtime::loadArtifactBytes(bad), "version");
-
-    std::string zero = bytes_;
-    zero[8] = 0; // version 0 predates kMinArtifactFormatVersion
-    EXPECT_DEATH(runtime::loadArtifactBytes(zero), "version");
-}
-
-TEST_F(ArtifactErrors, RejectsUnwritableVersionRequest)
-{
-    const nn::StackedRnn model = trainedModel(gruSpec(), 2);
-    const runtime::CompiledModel compiled = runtime::compile(model);
-    EXPECT_DEATH(runtime::serializeArtifact(compiled, 0),
-                 "cannot write");
-    EXPECT_DEATH(runtime::serializeArtifact(compiled, 4),
-                 "cannot write");
+    // The version field (u32 LSB at offset 8) is checked before size
+    // and checksum, so retired (1, 2), never-issued (0) and future
+    // (4) versions die on it and point at the command that
+    // re-creates the file.
+    for (const int version : {0, 1, 2, 4}) {
+        std::string bad = bytes_;
+        bad[8] = static_cast<char>(version);
+        EXPECT_DEATH(runtime::loadArtifactBytes(bad),
+                     "format version " + std::to_string(version) +
+                         " is not supported by this build \\(reads "
+                         "3\\).*ernn compile --spec");
+    }
 }
 
 TEST_F(ArtifactErrors, RejectsTruncation)
@@ -427,7 +402,7 @@ TEST_F(ArtifactErrors, FileRoundTripSurvivesErrorChecks)
     std::remove(path.c_str());
 }
 
-// --- v3 zero-copy (mmap) loads -----------------------------------------
+// --- zero-copy (mmap) loads --------------------------------------------
 
 namespace
 {
@@ -470,7 +445,7 @@ findU64(const std::string &bytes, std::size_t from, std::size_t to,
     return std::string::npos;
 }
 
-/** Save v3, map it back, and demand bit-identical serving. */
+/** Save, map it back, and demand bit-identical serving. */
 void
 checkMappedRoundTrip(const nn::ModelSpec &spec,
                      runtime::BackendKind backend)
@@ -555,28 +530,6 @@ TEST(ArtifactV3, TrustedMapSkipsBlobVerificationBitExactly)
     runtime::InferenceSession s1 = original.createSession();
     runtime::InferenceSession s2 = mapped->createSession();
     expectIdenticalResults(s1.run(batch), s2.run(batch));
-}
-
-TEST(ArtifactV3, MappedLoadFallsBackForLegacyFormats)
-{
-    const nn::StackedRnn model = trainedModel(gruSpec(), 41);
-    runtime::CompileOptions opts;
-    opts.backend = runtime::BackendKind::FixedPoint;
-    const runtime::CompiledModel original =
-        runtime::compile(model, opts);
-    const auto batch = randomBatch(3, 8, 43);
-    runtime::InferenceSession s1 = original.createSession();
-
-    for (std::uint32_t version : {1u, 2u}) {
-        const std::string path = tempPath("legacy.ernn");
-        runtime::saveArtifact(original, path, version);
-        const auto loaded = runtime::loadArtifactMapped(path);
-        std::remove(path.c_str());
-        // Legacy formats copy on load; no mapping is retained.
-        EXPECT_FALSE(loaded->mapped());
-        runtime::InferenceSession s2 = loaded->createSession();
-        expectIdenticalResults(s1.run(batch), s2.run(batch));
-    }
 }
 
 class ArtifactV3Errors : public ::testing::Test
@@ -699,4 +652,69 @@ TEST_F(ArtifactV3Errors, IntactFileSurvivesEveryErrorCheck)
     EXPECT_TRUE(loaded->mapped());
     EXPECT_EQ(loaded->numLayers(), 2u);
     std::remove(path.c_str());
+}
+
+// --- checked-in fixtures -----------------------------------------------
+
+namespace
+{
+
+std::string
+readFixture(const std::string &name)
+{
+    const std::string path =
+        std::string(ERNN_TEST_FIXTURE_DIR) + "/" + name;
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_TRUE(is.good()) << "missing fixture " << path;
+    return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+/**
+ * A checked-in artifact (tests/fixtures/README.md says how it was
+ * made) must load, re-serialize to exactly its own bytes, and serve:
+ * this pins the bytes a build writes across format-code changes.
+ */
+void
+checkFixture(const std::string &name, const char *backend)
+{
+    const std::string bytes = readFixture(name);
+    ASSERT_FALSE(bytes.empty());
+    const runtime::CompiledModel loaded =
+        runtime::loadArtifactBytes(bytes);
+    EXPECT_EQ(runtime::backendKindName(loaded.options().backend),
+              std::string(backend));
+    EXPECT_EQ(bytes, runtime::serializeArtifact(loaded));
+
+    const auto batch = randomBatch(3, loaded.inputSize(), 53);
+    runtime::InferenceSession session = loaded.createSession();
+    const runtime::BatchResult served = session.run(batch);
+    ASSERT_EQ(served.logits.size(), batch.size());
+    for (std::size_t u = 0; u < batch.size(); ++u) {
+        ASSERT_EQ(served.logits[u].size(), batch[u].size());
+        for (const Vector &frame : served.logits[u]) {
+            ASSERT_EQ(frame.size(), loaded.numClasses());
+            for (const Real v : frame)
+                EXPECT_TRUE(std::isfinite(v));
+        }
+    }
+
+    // The mapped load of the same bytes serves identically.
+    const std::string path = tempPath("fixture_" + name);
+    writeBytes(path, bytes);
+    const auto mapped = runtime::loadArtifactMapped(path);
+    std::remove(path.c_str());
+    runtime::InferenceSession mapped_session = mapped->createSession();
+    expectIdenticalResults(served, mapped_session.run(batch));
+}
+
+} // namespace
+
+TEST(ArtifactFixture, FixedPointIsByteStable)
+{
+    checkFixture("lstm8x2_fixed_point.ernn", "fixed-point");
+}
+
+TEST(ArtifactFixture, CirculantFftIsByteStable)
+{
+    checkFixture("lstm8x2_circulant_fft.ernn", "circulant-fft");
 }

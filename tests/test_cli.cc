@@ -321,49 +321,6 @@ TEST_F(CliPipeline, ServeBenchRunsASweep)
     EXPECT_NE(r.output.find("frames/s"), std::string::npos);
 }
 
-TEST_F(CliPipeline, CompileFormatFlagWritesEveryVersion)
-{
-    // v1/v2 stay writable for older deployments; v3 (the default)
-    // adds the mmap blob section. All three must load and score
-    // identically — the format only changes the container.
-    double pers[3] = {0, 0, 0};
-    for (int format = 1; format <= 3; ++format) {
-        const std::string art =
-            *dir_ + "/fmt" + std::to_string(format) + ".ernn";
-        const CmdResult compile = run(
-            "compile --spec " + spec() + " --checkpoint " + ckpt() +
-            " --format " + std::to_string(format) + " --out " + art);
-        ASSERT_EQ(compile.exitCode, 0) << compile.output;
-        EXPECT_NE(compile.output.find(
-                      "format v" + std::to_string(format)),
-                  std::string::npos)
-            << compile.output;
-
-        const CmdResult info = run("info " + art);
-        EXPECT_EQ(info.exitCode, 0) << info.output;
-        // Only v3 carries the aligned blob section layout.
-        EXPECT_EQ(info.output.find("blob section") !=
-                      std::string::npos,
-                  format == 3)
-            << info.output;
-
-        const CmdResult eval = run("eval --artifact " + art + " " +
-                                   kDataFlags);
-        ASSERT_EQ(eval.exitCode, 0) << eval.output;
-        pers[format - 1] = parsePer(eval.output);
-        std::remove(art.c_str());
-    }
-    EXPECT_EQ(pers[0], pers[1]);
-    EXPECT_EQ(pers[1], pers[2]);
-
-    const CmdResult bad = run(
-        "compile --spec " + spec() + " --checkpoint " + ckpt() +
-        " --format 4 --out " + *dir_ + "/never.ernn");
-    EXPECT_NE(bad.exitCode, 0);
-    EXPECT_NE(bad.output.find("--format"), std::string::npos)
-        << bad.output;
-}
-
 TEST_F(CliPipeline, ServeBenchStatsJsonBothSchedulers)
 {
     for (const std::string sched : {"hold-open", "continuous"}) {

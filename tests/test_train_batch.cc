@@ -1,7 +1,7 @@
 /**
  * @file
- * Batch-major training datapath tests, gated on the retained
- * vector-at-a-time oracle:
+ * Batch-major training datapath tests, gated on a vector-at-a-time
+ * oracle that lives here (trainVectorOracle):
  *
  *  - batched forward is bit-identical per lane to the solo forward
  *    (LSTM + GRU, dense + circulant, ragged lengths),
@@ -21,12 +21,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 
 #include "admm/admm_trainer.hh"
 #include "base/random.hh"
 #include "nn/gru.hh"
+#include "nn/loss.hh"
 #include "nn/lstm.hh"
 #include "nn/model_builder.hh"
+#include "nn/optimizer.hh"
 #include "nn/train_checkpoint.hh"
 #include "nn/trainer.hh"
 #include "speech/dataset.hh"
@@ -184,6 +187,57 @@ freshModel(const ModelSpec &spec, std::uint64_t seed)
     return model;
 }
 
+/**
+ * The vector-at-a-time training oracle: Trainer::train's loop — the
+ * same shuffle stream, 1/B loss scaling, gradient clip and optimizer
+ * step — with one utterance per forward/backward pass instead of
+ * pooled lanes. The batched trainer must track it to summation-order
+ * noise.
+ */
+TrainResult
+trainVectorOracle(StackedRnn &model, const TrainConfig &cfg,
+                  const SequenceDataset &data)
+{
+    ParamRegistry &reg = model.params();
+    std::unique_ptr<Optimizer> opt;
+    if (cfg.optimizer == TrainConfig::Opt::Adam)
+        opt = std::make_unique<Adam>(cfg.lr);
+    else
+        opt = std::make_unique<Sgd>(cfg.lr);
+    Rng shuffle_rng(cfg.shuffleSeed);
+    std::vector<std::size_t> order(data.size());
+
+    TrainResult result;
+    for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+        std::iota(order.begin(), order.end(), 0);
+        shuffle_rng.shuffle(order);
+        EpochLog log;
+        reg.zeroGrad();
+        for (std::size_t start = 0; start < data.size();
+             start += cfg.batchSize) {
+            const std::size_t b =
+                std::min(cfg.batchSize, data.size() - start);
+            const Real inv_batch = 1.0 / static_cast<Real>(b);
+            for (std::size_t i = 0; i < b; ++i) {
+                const SequenceExample &ex = data[order[start + i]];
+                LossResult loss = softmaxCrossEntropy(
+                    model.forwardLogits(ex.frames), ex.labels);
+                for (Vector &dl : loss.dlogits)
+                    scaleInPlace(dl, inv_batch);
+                model.backwardFromLogits(loss.dlogits);
+                log.trainLoss += loss.loss;
+                log.frames += loss.frames;
+            }
+            log.gradNorm = clipGradNorm(reg, cfg.clipNorm);
+            opt->step(reg);
+            reg.zeroGrad();
+        }
+        log.trainLoss /= static_cast<Real>(data.size());
+        result.epochs.push_back(log);
+    }
+    return result;
+}
+
 } // namespace
 
 // --- layer-level parity ------------------------------------------------
@@ -278,10 +332,8 @@ TEST(BatchedTrainer, TracksVectorOracle)
             tc.batchSize = 4;
             tc.optimizer = TrainConfig::Opt::Sgd;
 
-            tc.datapath = TrainConfig::Datapath::Vector;
             const TrainResult vr =
-                Trainer(vec_model, tc).train(data.train);
-            tc.datapath = TrainConfig::Datapath::Batched;
+                trainVectorOracle(vec_model, tc, data.train);
             const TrainResult br =
                 Trainer(bat_model, tc).train(data.train);
 
@@ -323,9 +375,7 @@ TEST(BatchedTrainer, HandlesEmptyAndOneFrameSequences)
     tc.batchSize = 3;
     tc.optimizer = TrainConfig::Opt::Sgd;
 
-    tc.datapath = TrainConfig::Datapath::Vector;
-    const TrainResult vr = Trainer(vec_model, tc).train(data);
-    tc.datapath = TrainConfig::Datapath::Batched;
+    const TrainResult vr = trainVectorOracle(vec_model, tc, data);
     const TrainResult br = Trainer(bat_model, tc).train(data);
 
     ASSERT_EQ(vr.epochs.size(), br.epochs.size());
@@ -484,6 +534,39 @@ TEST(TrainCheckpoint, StateRoundTripsThroughDisk)
                              src.size() * sizeof(Real)));
 }
 
+TEST(TrainCheckpoint, FingerprintsArePinned)
+{
+    // train.state files written by earlier builds must keep resuming:
+    // these values are the fingerprints those builds computed, and
+    // any change to trainingFingerprint's encoding breaks them.
+    struct Case
+    {
+        ModelType type;
+        bool custom;
+        std::uint64_t want;
+    };
+    const Case cases[] = {
+        {ModelType::Lstm, false, 0xc23996e059d8283dull},
+        {ModelType::Lstm, true, 0x05c589520f05ab06ull},
+        {ModelType::Gru, false, 0xab90ad4a34ee114eull},
+        {ModelType::Gru, true, 0x65813e964826e26bull},
+    };
+    for (const Case &c : cases) {
+        StackedRnn model = buildModel(tinySpec(c.type, 4));
+        TrainConfig tc;
+        if (c.custom) {
+            tc.batchSize = 8;
+            tc.batchLanes = 2;
+            tc.optimizer = TrainConfig::Opt::Sgd;
+            tc.shuffleSeed = 7;
+            tc.clipNorm = 2.5;
+        }
+        EXPECT_EQ(trainingFingerprint(model.params(), tc), c.want)
+            << (c.type == ModelType::Lstm ? "lstm" : "gru")
+            << (c.custom ? " custom config" : " default config");
+    }
+}
+
 TEST(TrainCheckpoint, MissingFileMeansFreshStart)
 {
     const ModelSpec spec = tinySpec(ModelType::Gru, 1);
@@ -594,7 +677,6 @@ TEST(BatchedAdmm, PhaseOneRunsOnBatchedMulticorePath)
     cfg.train.batchSize = 6;
     cfg.train.batchLanes = 3;
     cfg.train.threads = 2;
-    cfg.train.datapath = TrainConfig::Datapath::Batched;
 
     admm::AdmmTrainer trainer(model, cfg);
     admm::constrainFromSpec(trainer, model,

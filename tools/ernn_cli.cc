@@ -311,10 +311,6 @@ cmdTrain(Flags &f)
                                "--optimizer", "sgd", "adam")
                        ? nn::TrainConfig::Opt::Sgd
                        : nn::TrainConfig::Opt::Adam;
-    tc.datapath = parseChoice(f.str("--datapath", "batched"),
-                              "--datapath", "vector", "batched")
-                      ? nn::TrainConfig::Datapath::Vector
-                      : nn::TrainConfig::Datapath::Batched;
     tc.threads = f.num("--threads", 1);
     tc.batchLanes = f.num("--batch-lanes", 0);
     tc.resume = f.flag("--resume");
@@ -377,26 +373,18 @@ cmdCompile(Flags &f)
     const std::string spec_path = f.required("--spec");
     const std::string ckpt_path = f.required("--checkpoint");
     const std::string out_path = f.required("--out");
-    // v3 is the mmap-ready default; v1/v2 remain writable so older
-    // deployments can be fed from a current toolchain.
-    const std::size_t format =
-        f.num("--format", runtime::kArtifactFormatVersion);
-    if (format < 1 || format > runtime::kArtifactFormatVersion)
-        ernn_fatal("--format must be in [1, "
-                   << runtime::kArtifactFormatVersion << "], got "
-                   << format);
     const runtime::CompileOptions copts = compileOptions(f);
     f.finish();
 
     const nn::StackedRnn model = loadModel(spec_path, ckpt_path);
     const runtime::CompiledModel compiled =
         runtime::compile(model, copts);
-    runtime::saveArtifact(compiled, out_path,
-                          static_cast<std::uint32_t>(format));
+    runtime::saveArtifact(compiled, out_path);
     namespace fs = std::filesystem;
     std::cout << "wrote " << out_path << ": " << compiled.describe()
               << " (" << compiled.storedParams()
-              << " stored params, format v" << format << ", "
+              << " stored params, format v"
+              << runtime::kArtifactFormatVersion << ", "
               << fmtBytes(static_cast<Real>(fs::file_size(out_path)))
               << ")\n";
     return 0;
@@ -698,9 +686,8 @@ usage(std::ostream &os, int code)
           "             [--projection N] [--epochs N] [--lr R]\n"
           "             [--batch-size N] [--optimizer adam|sgd] "
           "[--seed N]\n"
-          "             [--datapath batched|vector] [--threads N]\n"
-          "             [--batch-lanes N  utterances per gradient "
-          "group]\n"
+          "             [--threads N]"
+          " [--batch-lanes N  utterances per gradient group]\n"
           "             [--resume   continue from DIR/train.state]\n"
           "             [--backend B] [--bits N] [data flags]\n"
           "  ernn compile --spec F --checkpoint F --out F\n"
@@ -708,8 +695,6 @@ usage(std::ostream &os, int code)
           "fixed-point]\n"
           "             [--bits N] [--segments N] [--range R]\n"
           "             [--fp-emulate   f64 oracle instead of int16]\n"
-          "             [--format 1|2|3  artifact version (3 = "
-          "mmap)]\n"
           "  ernn info ARTIFACT...\n"
           "  ernn eval --artifact F [--split test|train] "
           "[--workers N]\n"
